@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet analyze analyze-json test race bench perf speedup loadbench refreshbench experiments fuzz serve clean
+.PHONY: all build vet analyze analyze-json test race bench perf loadbench refreshbench experiments fuzz serve clean
 
 all: build vet analyze test
 
@@ -37,21 +37,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Perf trajectory: Mine benchmarks with allocation counts, plus the
-# miner×workers nodes/sec table archived as BENCH_fig6.json. Compare the
+# per-miner nodes/sec table archived as BENCH_fig6.json. Compare the
 # JSON against the checked-in copy to judge a kernel change.
-perf: speedup
+perf:
 	$(GO) test -run '^$$' -bench 'Mine' -benchmem -count=5 ./...
 	$(GO) run ./cmd/benchrunner -exp perf -scale 30
-
-# Work-stealing speedup curve: topk wall time across worker counts on
-# three sizes of the PC profile, archived as BENCH_speedup.json. The
-# k=60 / 70% minsup point saturates the per-row top-k lists, so the
-# curve exercises the full streaming-merge + frontier machinery, not a
-# trivially pruned tree. The 4-worker wall-clock assertion only binds
-# on machines with >= 4 CPUs (it is skipped with a warning elsewhere);
-# CI enforces it.
-speedup:
-	$(GO) run ./cmd/benchrunner -exp speedup -scale 15 -minsups 0.7 -k 60 -assert-speedup 1.0
 
 # Serving read-path trajectory: closed- and open-loop load against an
 # in-process server (rule-major batch kernel + prediction cache),

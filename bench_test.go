@@ -11,7 +11,6 @@
 //	BenchmarkFig8GeneRanks — Figure 8
 //	BenchmarkDefaultClassStats / BenchmarkMinsupSweep — §6.2 analyses
 //	BenchmarkAblation* — design-choice ablations from DESIGN.md
-//	BenchmarkParallelSpeedup — parallel engine scaling on PC
 package repro
 
 import (
@@ -222,28 +221,6 @@ func BenchmarkFig8GeneRanks(b *testing.B) {
 		if _, err := bench.Fig8(context.Background(), io.Discard, benchScale, 10, 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkParallelSpeedup measures the parallel row-enumeration engine
-// across worker counts on the PC profile (the paper's hardest dataset);
-// the sub-benchmark ratio workers=1 / workers=N is the speedup. Output
-// is identical at every worker count, so only wall time varies.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	p := scaledProfiles()[3] // PC
-	d := prepDataset(b, p)
-	ms := minsupOf(d, 0.7)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := core.DefaultConfig(ms, 10)
-			cfg.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MineContext(context.Background(), d, 0, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	benchrunner -exp table1|fig6|fig6e|table2|fig7|fig8|defaultclass|minsupsweep|ablation|parallelspeedup|all [-scale N]
+//	benchrunner -exp table1|fig6|fig6e|table2|fig7|fig8|defaultclass|minsupsweep|groupcount|topgenes|ablation|perf|refresh|all [-scale N] [-json FILE]
 //
 // -scale divides the profiles' gene counts (1 = paper scale; larger is
-// faster). -workers sets the TopkRGS worker count for the mining
-// experiments (default 1 = sequential, the paper's setting; 0 = all
-// cores), -timeout bounds the whole run via context cancellation.
-// Output goes to stdout in paper-style rows.
+// faster); -timeout bounds the whole run via context cancellation.
+// Output goes to stdout in paper-style rows. -json also archives an
+// experiment's structured results; perf and refresh always archive,
+// by default to BENCH_fig6.json and BENCH_refresh.json.
 package main
 
 import (
@@ -28,19 +28,15 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig6, fig6e, table2, fig7, fig8, defaultclass, minsupsweep, groupcount, topgenes, ablation, parallelspeedup, speedup, perf, refresh, all")
+	exp := flag.String("exp", "all", "experiment: table1, fig6, fig6e, table2, fig7, fig8, defaultclass, minsupsweep, groupcount, topgenes, ablation, perf, refresh, all")
 	scale := flag.Int("scale", 1, "gene-count divisor (1 = paper scale)")
 	budget := flag.Int("budget", 3_000_000, "baseline node budget before DNF")
 	topkBudget := flag.Int("topkbudget", 0, "optional MineTopkRGS node budget in fig6 (0 = unbounded)")
 	noColumn := flag.Bool("nocolumn", false, "skip CHARM/CLOSET+ in fig6")
 	datasets := flag.String("datasets", "", "comma-separated dataset filter for fig6 (e.g. ALL,LC)")
 	minsups := flag.String("minsups", "", "comma-separated relative supports for fig6 (e.g. 0.95,0.9)")
-	jsonOut := flag.String("json", "", "also write the experiment's structured results as JSON to this file")
-	workers := flag.Int("workers", 1, "TopkRGS enumeration workers in mining experiments (0 = all cores)")
+	jsonOut := flag.String("json", "", "also write the experiment's structured results as JSON to this file (perf and refresh default to their BENCH_*.json archive)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-	workerSweep := flag.String("workersweep", "", "comma-separated worker counts for parallelspeedup/speedup (e.g. 1,2,4,8)")
-	topk := flag.Int("k", 0, "for -exp speedup: top-k list length per row (0 = experiment default)")
-	assertSpeedup := flag.Float64("assert-speedup", 0, "for -exp speedup: fail unless the 4-worker topk run on the largest dataset reaches this speedup over sequential (skipped with a warning when the machine has fewer than 4 CPUs)")
 	refreshChunks := flag.Int("refresh-chunks", 8, "for -exp refresh: number of append batches replayed")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -83,11 +79,18 @@ func main() {
 	}
 	s := bench.Scale(*scale)
 	w := os.Stdout
-	writeJSON := func(v any) error {
-		if *jsonOut == "" {
+	// writeJSON archives v as indented JSON at -json, falling back to
+	// def (an experiment's checked-in archive name); with neither it
+	// writes nothing.
+	writeJSON := func(v any, def string) error {
+		path := *jsonOut
+		if path == "" {
+			path = def
+		}
+		if path == "" {
 			return nil
 		}
-		f, err := os.Create(*jsonOut)
+		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
@@ -114,7 +117,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		return writeJSON(rows)
+		return writeJSON(rows, "")
 	})
 	run("fig6", func() error {
 		cfg := bench.DefaultFig6Config()
@@ -122,7 +125,6 @@ func main() {
 		cfg.BaselineBudget = *budget
 		cfg.TopkBudget = *topkBudget
 		cfg.IncludeColumnMiners = !*noColumn
-		cfg.Workers = *workers
 		if *datasets != "" {
 			for _, d := range strings.Split(*datasets, ",") {
 				name := strings.TrimSpace(d)
@@ -147,10 +149,10 @@ func main() {
 			return err
 		}
 		bench.ChartFig6(w, pts)
-		return writeJSON(pts)
+		return writeJSON(pts, "")
 	})
 	run("fig6e", func() error {
-		_, err := bench.Fig6e(ctx, w, s, 0.8, nil, *workers)
+		_, err := bench.Fig6e(ctx, w, s, 0.8, nil)
 		return err
 	})
 	run("table2", func() error {
@@ -158,7 +160,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		return writeJSON(results)
+		return writeJSON(results, "")
 	})
 	run("fig7", func() error {
 		pts, err := bench.Fig7(w, s, nil)
@@ -188,14 +190,14 @@ func main() {
 		if err != nil {
 			return err
 		}
-		return writeJSON(pts)
+		return writeJSON(pts, "")
 	})
 	run("groupcount", func() error {
 		pts, err := bench.GroupCount(ctx, w, s, nil, 0.9, *budget)
 		if err != nil {
 			return err
 		}
-		return writeJSON(pts)
+		return writeJSON(pts, "")
 	})
 	run("ablation", func() error {
 		if _, err := bench.AblationEngines(ctx, w, s, 0.85, 0.9, *budget); err != nil {
@@ -205,102 +207,13 @@ func main() {
 		return err
 	})
 	run("perf", func() error {
-		var workerList []int
-		if *workerSweep != "" {
-			for _, c := range strings.Split(*workerSweep, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(c))
-				if err != nil {
-					return fmt.Errorf("bad -workersweep entry %q: %w", c, err)
-				}
-				workerList = append(workerList, v)
-			}
-		}
-		pts, err := bench.PerfTrajectory(ctx, w, bench.PerfConfig{
-			Scale: s, Budget: *budget, Workers: workerList,
-		})
+		pts, err := bench.PerfTrajectory(ctx, w, bench.PerfConfig{Scale: s, Budget: *budget})
 		if err != nil {
 			return err
 		}
-		// The trajectory is archived across PRs: default the JSON path to
-		// the checked-in name (it measures the fig6 PC profile).
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_fig6.json"
-		}
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(pts); err != nil {
-			_ = f.Close()
-			return err
-		}
-		return f.Close()
-	})
-	run("speedup", func() error {
-		var counts []int
-		if *workerSweep != "" {
-			for _, c := range strings.Split(*workerSweep, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(c))
-				if err != nil {
-					return fmt.Errorf("bad -workersweep entry %q: %w", c, err)
-				}
-				counts = append(counts, v)
-			}
-		}
-		scfg := bench.SpeedupCurveConfig{Scale: s, Workers: counts, K: *topk}
-		if *datasets != "" {
-			scfg.Dataset = strings.TrimSpace(strings.Split(*datasets, ",")[0])
-		}
-		if *minsups != "" {
-			v, err := strconv.ParseFloat(strings.TrimSpace(strings.Split(*minsups, ",")[0]), 64)
-			if err != nil {
-				return fmt.Errorf("bad -minsups entry: %w", err)
-			}
-			scfg.Minsup = v
-		}
-		pts, err := bench.SpeedupCurve(ctx, w, scfg)
-		if err != nil {
-			return err
-		}
-		// The curve is archived across PRs next to the fig6 trajectory.
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_speedup.json"
-		}
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(pts); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *assertSpeedup > 0 {
-			if runtime.NumCPU() < 4 {
-				fmt.Fprintf(os.Stderr, "benchrunner: speedup: WARNING: only %d CPUs, skipping -assert-speedup %.2f (a 4-worker wall-clock gate needs >= 4 cores)\n",
-					runtime.NumCPU(), *assertSpeedup)
-				return nil
-			}
-			pt := bench.LargestAt(pts, 4)
-			if pt == nil {
-				return fmt.Errorf("speedup: no 4-worker point to assert on")
-			}
-			if pt.Speedup < *assertSpeedup {
-				return fmt.Errorf("speedup gate failed: %s with 4 workers reached %.2fx, want >= %.2fx",
-					pt.Dataset, pt.Speedup, *assertSpeedup)
-			}
-			fmt.Fprintf(os.Stdout, "speedup gate ok: %s with 4 workers reached %.2fx (>= %.2fx)\n",
-				pt.Dataset, pt.Speedup, *assertSpeedup)
-		}
-		return nil
+		// The trajectory is archived across PRs (it measures the fig6 PC
+		// profile).
+		return writeJSON(pts, "BENCH_fig6.json")
 	})
 	run("refresh", func() error {
 		pts, err := bench.RefreshBench(ctx, w, *scale, *refreshChunks)
@@ -308,37 +221,6 @@ func main() {
 			return err
 		}
 		// The sweep is archived across PRs next to the serving points.
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_refresh.json"
-		}
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(pts); err != nil {
-			_ = f.Close()
-			return err
-		}
-		return f.Close()
-	})
-	run("parallelspeedup", func() error {
-		var counts []int
-		if *workerSweep != "" {
-			for _, c := range strings.Split(*workerSweep, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(c))
-				if err != nil {
-					return fmt.Errorf("bad -workersweep entry %q: %w", c, err)
-				}
-				counts = append(counts, v)
-			}
-		}
-		pts, err := bench.ParallelSpeedup(ctx, w, s, 0.7, 10, counts)
-		if err != nil {
-			return err
-		}
-		return writeJSON(pts)
+		return writeJSON(pts, "BENCH_refresh.json")
 	})
 }

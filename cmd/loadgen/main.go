@@ -37,7 +37,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "", "base URL of a running server (default: spin up an in-process one)")
-	model := flag.String("model", "", "model name in request bodies (default: the server's single model)")
+	model := flag.String("model", "", "model whose batch route is loaded (default: the server's single model)")
 	scale := flag.Int("scale", 30, "gene-count divisor for the in-process fixture's PC profile")
 	batches := flag.String("batches", "1,16,64,256", "comma-separated batch sizes to sweep")
 	requests := flag.Int("requests", 200, "requests per (mode, batch) point")

@@ -4,14 +4,12 @@
 //
 // Usage:
 //
-//	topkrgs -in data.txt [-matrix] -class 0 -minsup 0.7 -k 10 [-workers N] [-timeout 30s] [-v]
+//	topkrgs -in data.txt [-matrix] -class 0 -minsup 0.7 -k 10 [-timeout 30s] [-v]
 //
 // With -matrix, -in is parsed as a real-valued expression matrix and
 // entropy-MDL discretization runs first. -minsup is relative to the
-// consequent class size when < 1, absolute otherwise. -workers mines
-// first-level enumeration subtrees on N goroutines (0 = all cores;
-// output is identical to the sequential run), and -timeout aborts the
-// whole mine with an error once exceeded.
+// consequent class size when < 1, absolute otherwise. -timeout aborts
+// the whole mine with an error once exceeded.
 package main
 
 import (
@@ -34,7 +32,6 @@ func main() {
 	k := flag.Int("k", 10, "covering rule groups per row")
 	verbose := flag.Bool("v", false, "print per-row lists, not just the group union")
 	nl := flag.Int("lb", 0, "also derive this many shortest lower-bound rules per group")
-	workers := flag.Int("workers", 1, "enumeration workers (0 = all cores)")
 	timeout := flag.Duration("timeout", 0, "abort mining after this long (0 = no limit)")
 	flag.Parse()
 
@@ -58,15 +55,10 @@ func main() {
 	if ms < 1 {
 		ms = 1
 	}
-	w := *workers
-	if w == 0 {
-		w = topkrgs.AllCores
-	}
 	res, err := topkrgs.Mine(context.Background(), d, topkrgs.MineOptions{
 		Class:   cls,
 		Minsup:  ms,
 		K:       *k,
-		Workers: w,
 		Timeout: *timeout,
 	})
 	if err != nil {

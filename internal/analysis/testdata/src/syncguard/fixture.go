@@ -93,11 +93,11 @@ func badFieldCapture(j job, done chan struct{}) {
 	}()
 }
 
-// deque mirrors the work-stealing engine: a mutex-guarded per-worker
-// task queue. Tasks enter it carrying bitsets copied out of the
-// spawner's arena at offload time, so whichever goroutine later pops
-// or steals a task owns its state exclusively — the positive shape of
-// the steal-time-clone pattern.
+// deque is a mutex-guarded per-worker task queue of the kind a
+// work-stealing pool uses. Tasks enter it carrying bitsets copied out
+// of the spawner's arena at offload time, so whichever goroutine later
+// pops or steals a task owns its state exclusively — the positive
+// shape of the steal-time-clone pattern.
 type deque struct {
 	mu    sync.Mutex
 	tasks []job

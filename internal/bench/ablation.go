@@ -43,7 +43,7 @@ func AblationEngines(ctx context.Context, w io.Writer, scale Scale, minsupFrac, 
 			elapsed := timeIt(func() {
 				_, stats, err = mineVia(ctx, "farmer", pr.dTrain, engine.Options{
 					Minsup: ms, Minconf: minconf, Variant: variant,
-					MaxNodes: budget, Workers: 1,
+					MaxNodes: budget,
 				})
 			})
 			if err != nil {
@@ -95,7 +95,7 @@ func AblationPruning(ctx context.Context, w io.Writer, scale Scale, minsupFrac f
 		}
 		ms := minsupAbs(pr.dTrain, minsupFrac)
 		for _, v := range variants {
-			opts := engine.Options{K: k, Minsup: ms, MaxNodes: budget, Workers: 1}
+			opts := engine.Options{K: k, Minsup: ms, MaxNodes: budget}
 			v.mod(&opts)
 			var stats engine.Stats
 			var err error

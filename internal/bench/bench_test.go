@@ -79,7 +79,7 @@ func TestFig6e(t *testing.T) {
 		t.Skip("runtime sweep in -short mode")
 	}
 	var sb strings.Builder
-	pts, err := Fig6e(context.Background(), &sb, testScale, 0.8, []int{1, 10}, 1)
+	pts, err := Fig6e(context.Background(), &sb, testScale, 0.8, []int{1, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,27 +205,6 @@ func TestAllMinersRegistered(t *testing.T) {
 		if !have[want] {
 			t.Errorf("miner %q not registered (have %v)", want, engine.Miners())
 		}
-	}
-}
-
-func TestParallelSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runtime sweep in -short mode")
-	}
-	var sb strings.Builder
-	pts, err := ParallelSpeedup(context.Background(), &sb, testScale, 0.8, 3, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d, want 2", len(pts))
-	}
-	// Determinism: the parallel run finds exactly the sequential groups.
-	if pts[0].Groups != pts[1].Groups {
-		t.Fatalf("group counts differ across worker counts: %d vs %d", pts[0].Groups, pts[1].Groups)
-	}
-	if pts[0].Speedup != 1 {
-		t.Fatalf("baseline speedup = %v, want 1", pts[0].Speedup)
 	}
 }
 

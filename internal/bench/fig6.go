@@ -36,9 +36,6 @@ type Fig6Config struct {
 	IncludeColumnMiners bool
 	// Datasets filters by profile name; nil = all four.
 	Datasets []string
-	// Workers is the TopkRGS worker count (0 or 1 = sequential, the
-	// paper's setting; the baselines always run sequentially).
-	Workers int
 }
 
 // DefaultFig6Config mirrors the paper's sweep.
@@ -49,15 +46,6 @@ func DefaultFig6Config() Fig6Config {
 		BaselineBudget:      3_000_000,
 		IncludeColumnMiners: true,
 	}
-}
-
-// workersOr1 pins an unset worker count to sequential; engine adapters
-// treat 0 as "all cores", which a benchmark must never do implicitly.
-func workersOr1(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	return n
 }
 
 // Fig6 regenerates Figure 6(a-d): mining runtime versus minimum support
@@ -138,7 +126,7 @@ func fig6AtMinsup(ctx context.Context, pr *prepared, frac float64, ms int, cfg F
 
 	for _, k := range []int{1, 100} {
 		err := run(fmt.Sprintf("TopkRGS(k=%d)", k), "topk", engine.Options{
-			K: k, Minsup: ms, MaxNodes: cfg.TopkBudget, Workers: workersOr1(cfg.Workers),
+			K: k, Minsup: ms, MaxNodes: cfg.TopkBudget,
 		}, groups)
 		if err != nil {
 			return nil, err
@@ -157,7 +145,7 @@ func fig6AtMinsup(ctx context.Context, pr *prepared, frac float64, ms int, cfg F
 	} {
 		err := run(fc.name, "farmer", engine.Options{
 			Minsup: ms, Minconf: fc.minconf, Variant: fc.variant,
-			MaxNodes: cfg.BaselineBudget, Workers: 1,
+			MaxNodes: cfg.BaselineBudget,
 		}, groups)
 		if err != nil {
 			return nil, err
@@ -187,7 +175,7 @@ func fig6AtMinsup(ctx context.Context, pr *prepared, frac float64, ms int, cfg F
 
 // Fig6e regenerates Figure 6(e): MineTopkRGS runtime versus k on the
 // ALL and PC datasets at a fixed relative support.
-func Fig6e(ctx context.Context, w io.Writer, scale Scale, minsupFrac float64, ks []int, workers int) ([]Fig6Point, error) {
+func Fig6e(ctx context.Context, w io.Writer, scale Scale, minsupFrac float64, ks []int) ([]Fig6Point, error) {
 	if len(ks) == 0 {
 		ks = []int{1, 20, 40, 60, 80, 100}
 	}
@@ -210,9 +198,7 @@ func Fig6e(ctx context.Context, w io.Writer, scale Scale, minsupFrac float64, ks
 			var res *engine.Result
 			var err error
 			elapsed := timeIt(func() {
-				res, _, err = mineVia(ctx, "topk", pr.dTrain, engine.Options{
-					K: k, Minsup: ms, Workers: workersOr1(workers),
-				})
+				res, _, err = mineVia(ctx, "topk", pr.dTrain, engine.Options{K: k, Minsup: ms})
 			})
 			if err != nil {
 				return nil, err

@@ -82,7 +82,7 @@ func Fig8(ctx context.Context, w io.Writer, scale Scale, nl int, topLabel int) (
 			ms = 1
 		}
 		res, _, err := mineVia(ctx, "topk", d, engine.Options{
-			Class: dataset.Label(cls), K: 1, Minsup: ms, Workers: 1,
+			Class: dataset.Label(cls), K: 1, Minsup: ms,
 		})
 		if err != nil {
 			return nil, err

@@ -42,7 +42,7 @@ func GroupCount(ctx context.Context, w io.Writer, scale Scale, minsups []float64
 			ms := minsupAbs(pr.dTrain, frac)
 			res, stats, err := mineVia(ctx, "farmer", pr.dTrain, engine.Options{
 				Minsup: ms, Minconf: minconf, Variant: "bitset",
-				MaxNodes: budget, Workers: 1,
+				MaxNodes: budget,
 			})
 			if err != nil {
 				return nil, err

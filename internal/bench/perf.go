@@ -9,7 +9,7 @@ import (
 	"repro/internal/engine"
 )
 
-// PerfPoint is one (miner, workers) cell of the perf trajectory: a
+// PerfPoint is one miner's cell of the perf trajectory: a
 // testing.Benchmark measurement of repeated full mining runs on one
 // dataset profile. The derived nodes/sec rate is the number the
 // zero-allocation kernel work is tracked against across PRs; allocs/op
@@ -17,7 +17,6 @@ import (
 type PerfPoint struct {
 	Dataset     string  `json:"dataset"`
 	Miner       string  `json:"miner"`
-	Workers     int     `json:"workers"`
 	Minsup      float64 `json:"minsup"`
 	K           int     `json:"k,omitempty"`
 	NsPerOp     int64   `json:"ns_per_op"`
@@ -26,17 +25,10 @@ type PerfPoint struct {
 	Nodes       int     `json:"nodes"`
 	NodesPerSec float64 `json:"nodes_per_sec"`
 	Groups      int     `json:"groups"`
-	// SeqNodes is the node count of the same miner's Workers=1 cell;
-	// NodesOverheadRatio = Nodes/SeqNodes measures parallel
-	// overexploration (floor-propagation lag makes workers visit nodes
-	// a sequential run prunes). Only set on Workers>1 cells.
-	SeqNodes           int     `json:"seq_nodes,omitempty"`
-	NodesOverheadRatio float64 `json:"nodes_overhead_ratio,omitempty"`
 }
 
 // PerfConfig tunes the trajectory run. Zero fields take the defaults
-// below: the fig6 PC profile mined by the three row-enumeration miners,
-// sequentially and with four workers.
+// below: the fig6 PC profile mined by the three row-enumeration miners.
 type PerfConfig struct {
 	Scale   Scale
 	Dataset string  // profile base name; default "PC"
@@ -44,10 +36,9 @@ type PerfConfig struct {
 	K       int     // top-k list size for the topk miner; default 10
 	Budget  int     // node cap per run (0 = DefaultFig6Config's baseline budget)
 	Miners  []string
-	Workers []int
 }
 
-// PerfTrajectory benchmarks every configured miner×workers cell with
+// PerfTrajectory benchmarks every configured miner with
 // the testing package's benchmark driver (so ns/op and allocs/op come
 // from the same machinery as `go test -bench`), writes a paper-style
 // table to w, and returns the points for JSON archiving.
@@ -67,9 +58,6 @@ func PerfTrajectory(ctx context.Context, w io.Writer, cfg PerfConfig) ([]PerfPoi
 	if len(cfg.Miners) == 0 {
 		cfg.Miners = []string{"topk", "farmer", "carpenter"}
 	}
-	if len(cfg.Workers) == 0 {
-		cfg.Workers = []int{1, 4}
-	}
 
 	var pr *prepared
 	for _, p := range profiles(cfg.Scale) {
@@ -88,60 +76,50 @@ func PerfTrajectory(ctx context.Context, w io.Writer, cfg PerfConfig) ([]PerfPoi
 
 	header(w, fmt.Sprintf("Perf trajectory on %s (rows=%d items=%d minsup=%.2f)",
 		pr.profile.Name, pr.dTrain.NumRows(), pr.dTrain.NumItems(), cfg.Minsup))
-	fmt.Fprintf(w, "%-12s %8s %14s %12s %12s %14s\n",
-		"miner", "workers", "ns/op", "B/op", "allocs/op", "nodes/s")
+	fmt.Fprintf(w, "%-12s %14s %12s %12s %14s\n",
+		"miner", "ns/op", "B/op", "allocs/op", "nodes/s")
 
 	var out []PerfPoint
 	for _, miner := range cfg.Miners {
-		seqNodes := 0
-		for _, workers := range cfg.Workers {
-			opts := engine.Options{Minsup: ms, MaxNodes: cfg.Budget, Workers: workers}
-			if miner == "topk" {
-				opts.K = cfg.K
-			}
-			// One reference run supplies node and group counts (identical
-			// on every repetition: the enumeration is deterministic).
-			res, stats, err := mineVia(ctx, miner, pr.dTrain, opts)
-			if err != nil {
-				return nil, fmt.Errorf("bench: perf %s/w%d: %w", miner, workers, err)
-			}
-			br := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := mineVia(ctx, miner, pr.dTrain, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			groups := len(res.Groups)
-			if groups == 0 {
-				groups = len(res.Closed)
-			}
-			pt := PerfPoint{
-				Dataset:     pr.profile.Name,
-				Miner:       miner,
-				Workers:     workers,
-				Minsup:      cfg.Minsup,
-				NsPerOp:     br.NsPerOp(),
-				BytesPerOp:  br.AllocedBytesPerOp(),
-				AllocsPerOp: br.AllocsPerOp(),
-				Nodes:       stats.Nodes,
-				NodesPerSec: float64(stats.Nodes) * 1e9 / float64(br.NsPerOp()),
-				Groups:      groups,
-			}
-			if miner == "topk" {
-				pt.K = cfg.K
-			}
-			if workers == 1 {
-				seqNodes = stats.Nodes
-			} else if seqNodes > 0 {
-				pt.SeqNodes = seqNodes
-				pt.NodesOverheadRatio = float64(stats.Nodes) / float64(seqNodes)
-			}
-			out = append(out, pt)
-			fmt.Fprintf(w, "%-12s %8d %14d %12d %12d %14.0f\n",
-				miner, workers, pt.NsPerOp, pt.BytesPerOp, pt.AllocsPerOp, pt.NodesPerSec)
+		opts := engine.Options{Minsup: ms, MaxNodes: cfg.Budget}
+		if miner == "topk" {
+			opts.K = cfg.K
 		}
+		// One reference run supplies node and group counts (identical on
+		// every repetition: the enumeration is deterministic).
+		res, stats, err := mineVia(ctx, miner, pr.dTrain, opts)
+		if err != nil {
+			return nil, fmt.Errorf("bench: perf %s: %w", miner, err)
+		}
+		br := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := mineVia(ctx, miner, pr.dTrain, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		groups := len(res.Groups)
+		if groups == 0 {
+			groups = len(res.Closed)
+		}
+		pt := PerfPoint{
+			Dataset:     pr.profile.Name,
+			Miner:       miner,
+			Minsup:      cfg.Minsup,
+			NsPerOp:     br.NsPerOp(),
+			BytesPerOp:  br.AllocedBytesPerOp(),
+			AllocsPerOp: br.AllocsPerOp(),
+			Nodes:       stats.Nodes,
+			NodesPerSec: float64(stats.Nodes) * 1e9 / float64(br.NsPerOp()),
+			Groups:      groups,
+		}
+		if miner == "topk" {
+			pt.K = cfg.K
+		}
+		out = append(out, pt)
+		fmt.Fprintf(w, "%-12s %14d %12d %12d %14.0f\n",
+			miner, pt.NsPerOp, pt.BytesPerOp, pt.AllocsPerOp, pt.NodesPerSec)
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,8 +44,10 @@ type ServingPoint struct {
 type ServingConfig struct {
 	// BaseURL is the server under load, e.g. "http://127.0.0.1:8344".
 	BaseURL string
-	// Model is the model name sent in request bodies ("" works on a
-	// single-model server).
+	// Model names the model whose batch route is loaded,
+	// /v1/models/{Model}/classify/batch. "" resolves the server's only
+	// model from GET /v1/models and fails unless exactly one is
+	// registered.
 	Model string
 	// Rows is the item-id row pool requests draw from, round-robin, so
 	// consecutive requests carry distinct rows (a realistic mix of
@@ -102,6 +105,15 @@ func ServingLoad(ctx context.Context, w io.Writer, cfg ServingConfig) ([]Serving
 	}
 	defer client.CloseIdleConnections()
 
+	if cfg.Model == "" {
+		name, err := onlyModel(ctx, client, cfg.BaseURL)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Model = name
+	}
+	target := cfg.BaseURL + "/v1/models/" + url.PathEscape(cfg.Model) + "/classify/batch"
+
 	header(w, fmt.Sprintf("Serving load: %s (pool=%d rows, %d req/point)",
 		cfg.BaseURL, len(cfg.Rows), cfg.Requests))
 	fmt.Fprintf(w, "%-8s %7s %6s %10s %9s %9s %9s %9s %7s\n",
@@ -112,7 +124,7 @@ func ServingLoad(ctx context.Context, w io.Writer, cfg ServingConfig) ([]Serving
 	for _, batch := range cfg.Batches {
 		bodies := make([][]byte, cfg.Bodies)
 		for i := range bodies {
-			req := serve.BatchRequest{Model: cfg.Model}
+			var req serve.BatchRequest
 			for r := 0; r < batch; r++ {
 				req.Rows = append(req.Rows, serve.BatchRow{Items: cfg.Rows[next%len(cfg.Rows)]})
 				next++
@@ -124,7 +136,7 @@ func ServingLoad(ctx context.Context, w io.Writer, cfg ServingConfig) ([]Serving
 			bodies[i] = b
 		}
 
-		pt, err := runClosed(ctx, client, cfg, batch, bodies)
+		pt, err := runClosed(ctx, client, target, cfg, batch, bodies)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +144,7 @@ func ServingLoad(ctx context.Context, w io.Writer, cfg ServingConfig) ([]Serving
 		printServingPoint(w, pt)
 
 		if cfg.TargetQPS > 0 {
-			pt, err := runOpen(ctx, client, cfg, batch, bodies)
+			pt, err := runOpen(ctx, client, target, cfg, batch, bodies)
 			if err != nil {
 				return nil, err
 			}
@@ -143,6 +155,34 @@ func ServingLoad(ctx context.Context, w io.Writer, cfg ServingConfig) ([]Serving
 	return out, nil
 }
 
+// onlyModel returns the name of the server's single model, read from
+// GET /v1/models.
+func onlyModel(ctx context.Context, client *http.Client, baseURL string) (string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/models", nil)
+	if err != nil {
+		return "", err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return "", fmt.Errorf("bench: list models: %w", err)
+	}
+	var list struct {
+		Models []serve.ModelInfo `json:"models"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("bench: list models: status %d", resp.StatusCode)
+	}
+	if err != nil {
+		return "", fmt.Errorf("bench: list models: %w", err)
+	}
+	if len(list.Models) != 1 {
+		return "", fmt.Errorf("bench: server has %d models, want exactly one or a ServingConfig.Model", len(list.Models))
+	}
+	return list.Models[0].Name, nil
+}
+
 func printServingPoint(w io.Writer, pt ServingPoint) {
 	fmt.Fprintf(w, "%-8s %7d %6d %10.0f %9.3f %9.3f %9.3f %9.3f %7d\n",
 		pt.Mode, pt.Batch, pt.Concurrency, pt.RowsPerSec,
@@ -150,9 +190,9 @@ func printServingPoint(w io.Writer, pt ServingPoint) {
 }
 
 // doRequest posts one pre-encoded batch and returns its latency.
-func doRequest(ctx context.Context, client *http.Client, url string, body []byte) (time.Duration, error) {
+func doRequest(ctx context.Context, client *http.Client, target string, body []byte) (time.Duration, error) {
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
@@ -172,11 +212,10 @@ func doRequest(ctx context.Context, client *http.Client, url string, body []byte
 // runClosed measures a closed loop: Concurrency workers issue requests
 // back to back, so the offered load adapts to the server's pace and
 // the percentiles measure pure service time plus connection reuse.
-func runClosed(ctx context.Context, client *http.Client, cfg ServingConfig, batch int, bodies [][]byte) (ServingPoint, error) {
-	url := cfg.BaseURL + "/v1/classify/batch"
+func runClosed(ctx context.Context, client *http.Client, target string, cfg ServingConfig, batch int, bodies [][]byte) (ServingPoint, error) {
 	// Untimed warm-up: grow server arenas, open connections.
 	for i := 0; i < cfg.Concurrency; i++ {
-		if _, err := doRequest(ctx, client, url, bodies[i%len(bodies)]); err != nil {
+		if _, err := doRequest(ctx, client, target, bodies[i%len(bodies)]); err != nil {
 			return ServingPoint{}, fmt.Errorf("bench: warm-up request: %w", err)
 		}
 	}
@@ -195,7 +234,7 @@ func runClosed(ctx context.Context, client *http.Client, cfg ServingConfig, batc
 				if i >= cfg.Requests || ctx.Err() != nil {
 					return
 				}
-				lat, err := doRequest(ctx, client, url, bodies[i%len(bodies)])
+				lat, err := doRequest(ctx, client, target, bodies[i%len(bodies)])
 				if err != nil {
 					errs.Add(1)
 					continue
@@ -219,8 +258,7 @@ func runClosed(ctx context.Context, client *http.Client, cfg ServingConfig, batc
 // TargetQPS whether or not earlier ones finished, so a server falling
 // behind accumulates queueing delay in the measured tail instead of
 // silently throttling the generator.
-func runOpen(ctx context.Context, client *http.Client, cfg ServingConfig, batch int, bodies [][]byte) (ServingPoint, error) {
-	url := cfg.BaseURL + "/v1/classify/batch"
+func runOpen(ctx context.Context, client *http.Client, target string, cfg ServingConfig, batch int, bodies [][]byte) (ServingPoint, error) {
 	interval := time.Duration(float64(time.Second) / cfg.TargetQPS)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -238,7 +276,7 @@ fire:
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				lat, err := doRequest(ctx, client, url, bodies[i%len(bodies)])
+				lat, err := doRequest(ctx, client, target, bodies[i%len(bodies)])
 				if err != nil {
 					errs.Add(1)
 					return

@@ -29,9 +29,6 @@ type ClosedItemset = engine.ClosedItemset
 type Config struct {
 	Minsup   int // absolute minimum support over all rows
 	MaxNodes int // 0 = unbounded
-	// Workers > 1 mines first-level subtrees on that many goroutines;
-	// output is identical to sequential output.
-	Workers int
 	// Progress, when non-nil, receives engine.ProgressSnapshots every
 	// ProgressEvery nodes (0 = engine.DefaultProgressEvery).
 	Progress      engine.ProgressFunc
@@ -54,31 +51,6 @@ type visitor struct {
 
 func (v *visitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 	return engine.Threshold{}
-}
-
-// Fork returns a private collector for one worker; the members map is
-// shared read-only.
-func (v *visitor) Fork() engine.Visitor {
-	return &visitor{minsup: v.minsup, members: v.members}
-}
-
-// Flush seals the itemsets collected since the last hand-off boundary;
-// every itemset already owns its memory (OnGroup copies), so handing
-// the slice to the merge side transfers ownership cleanly.
-func (v *visitor) Flush() any {
-	if len(v.out) == 0 {
-		return nil
-	}
-	out := v.out
-	v.out = nil
-	return out
-}
-
-// Merge appends one streamed batch. The engine delivers batches in
-// sequential discovery order (the final sort makes output order
-// canonical regardless, but determinism should not depend on it).
-func (v *visitor) Merge(batch any) {
-	v.out = append(v.out, batch.([]ClosedItemset)...)
 }
 
 func (v *visitor) PruneBeforeScan(_ engine.Threshold, xp, xn, rp, rn int) bool {
@@ -151,7 +123,6 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Result, 
 		ItemRows:      itemRows,
 		Visitor:       v,
 		MaxNodes:      cfg.MaxNodes,
-		Workers:       cfg.Workers,
 		Progress:      cfg.Progress,
 		ProgressEvery: cfg.ProgressEvery,
 	}

@@ -1,6 +1,8 @@
 package carpenter
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -154,5 +156,48 @@ func TestValidationAndBudget(t *testing.T) {
 	}
 	if len(empty.Closed) != 0 {
 		t.Fatal("excessive minsup must yield nothing")
+	}
+}
+
+func randomDense(r *rand.Rand, rows, items int) *dataset.Dataset {
+	d := &dataset.Dataset{ClassNames: []string{"C"}}
+	for i := 0; i < items; i++ {
+		d.Items = append(d.Items, dataset.Item{Gene: i, GeneName: "g"})
+	}
+	for row := 0; row < rows; row++ {
+		var its []int
+		for i := 0; i < items; i++ {
+			if r.Intn(3) != 0 {
+				its = append(its, i)
+			}
+		}
+		d.Rows = append(d.Rows, its)
+		d.Labels = append(d.Labels, 0)
+	}
+	return d
+}
+
+func TestMineContextCancelled(t *testing.T) {
+	d, _ := dataset.RunningExample()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := MineContext(ctx, d, Config{Minsup: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatal("cancelled mine must not return a result")
+	}
+}
+
+func TestMaxNodesAborts(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	d := randomDense(r, 16, 20)
+	res, err := Mine(d, Config{Minsup: 1, MaxNodes: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Aborted {
+		t.Fatal("tiny budget must abort")
 	}
 }

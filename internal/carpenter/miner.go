@@ -14,13 +14,9 @@ type miner struct{}
 func (miner) Name() string { return "carpenter" }
 
 func (miner) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Result, engine.Stats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, engine.Stats{}, err
-	}
 	cfg := Config{
 		Minsup:        opts.Minsup,
 		MaxNodes:      opts.MaxNodes,
-		Workers:       opts.EffectiveWorkers(),
 		Progress:      opts.Progress,
 		ProgressEvery: opts.ProgressEvery,
 	}

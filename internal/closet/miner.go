@@ -14,15 +14,12 @@ type miner struct{}
 func (miner) Name() string { return "closet" }
 
 func (miner) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Result, engine.Stats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, engine.Stats{}, err
-	}
 	res, err := MineContext(ctx, d, Config{Minsup: opts.Minsup, MaxNodes: opts.MaxNodes})
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
 	return &engine.Result{Closed: res.Closed},
-		engine.Stats{Nodes: res.Nodes, Groups: len(res.Closed), Workers: 1, Aborted: res.Aborted}, nil
+		engine.Stats{Nodes: res.Nodes, Groups: len(res.Closed), Aborted: res.Aborted}, nil
 }
 
 func init() { engine.Register(miner{}) }

@@ -138,16 +138,10 @@ func New(cfg Config) *Coordinator {
 func (c *Coordinator) Name() string { return "cluster" }
 
 // Mine implements engine.Miner: distributed TopkRGS over the
-// configured peers. Options fields beyond Class, K, Minsup and
-// Workers are not supported in cluster mode — MaxNodes is rejected
-// (a node budget cannot be enforced across processes), the rest are
-// ignored. Workers is forwarded to each sub-job (and to local
-// fallback mining); parallel and sequential runs are identical, so it
-// does not affect the result.
+// configured peers. Options fields beyond Class, K and Minsup are not
+// supported in cluster mode — MaxNodes is rejected (a node budget
+// cannot be enforced across processes), the rest are ignored.
 func (c *Coordinator) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Result, engine.Stats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, engine.Stats{}, err
-	}
 	if opts.MaxNodes > 0 {
 		return nil, engine.Stats{}, fmt.Errorf("cluster: node budgets are not supported in cluster mode")
 	}
@@ -187,7 +181,6 @@ func (c *Coordinator) Mine(ctx context.Context, d *dataset.Dataset, opts engine.
 
 	seen := map[string]bool{}
 	var stats engine.Stats
-	stats.Workers = 1
 
 	roundSize := len(c.peers)
 	if roundSize < 1 {
@@ -288,7 +281,6 @@ func (c *Coordinator) mineRemote(ctx context.Context, peer string, d *dataset.Da
 			Minsup:       opts.Minsup,
 			Minconf:      floor,
 			ReturnGroups: true,
-			Workers:      opts.Workers,
 			Timeout:      jobs.Duration(c.subJobTimeout),
 		},
 		Data: &serve.InlineDataset{
@@ -348,7 +340,6 @@ func (c *Coordinator) mineRemote(ctx context.Context, peer string, d *dataset.Da
 // global ids; res.Groups is already in significance order.
 func (c *Coordinator) mineLocal(ctx context.Context, d *dataset.Dataset, cls dataset.Label, part []int, opts engine.Options, floor float64) ([]*rules.Group, engine.Stats, error) {
 	cfg := core.DefaultConfig(opts.Minsup, opts.K)
-	cfg.Workers = opts.Workers
 	cfg.MinConf = floor
 	res, err := core.MineContext(ctx, d.Subset(part), cls, cfg)
 	if err != nil {
@@ -454,7 +445,6 @@ func absorb(total *engine.Stats, st engine.Stats) {
 	total.PrunedAfterScan += st.PrunedAfterScan
 	total.Groups += st.Groups
 	total.MaxDepth = max(total.MaxDepth, st.MaxDepth)
-	total.Workers = max(total.Workers, st.Workers)
 }
 
 // sleepCtx waits d or until ctx is done, whichever comes first.

@@ -55,9 +55,12 @@ type Config struct {
 	// lists are already full at or above it) — otherwise lists come back
 	// short. Groups tied with the floor are kept.
 	MinConf float64
-	// Workers > 1 mines first-level subtrees on that many goroutines;
-	// output is deterministically identical to sequential mining. 0 or 1
-	// runs sequentially.
+	// Workers is ignored: every run enumerates on the calling
+	// goroutine.
+	//
+	// Deprecated: the intra-tree parallel mode is gone. The field stays
+	// only because the repository benchmark (benchmark/layers.go) still
+	// sets it; drop it together with that use.
 	Workers int
 	// Progress, when non-nil, receives engine.ProgressSnapshots every
 	// ProgressEvery nodes (0 = engine.DefaultProgressEvery). The
@@ -183,11 +186,7 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cls dataset.Label, cfg
 	reps, members := dedupItems(itemRows, freqItems)
 	v.members = members
 
-	// Steps 5-14: depth-first enumeration, parallel across first-level
-	// subtrees when cfg.Workers > 1.
-	if cfg.Workers > 1 {
-		v.floors = engine.NewFloors(numPos)
-	}
+	// Steps 5-14: depth-first enumeration.
 	eng := &engine.Enumerator{
 		NumRows:         d.NumRows(),
 		NumPos:          numPos,
@@ -195,7 +194,6 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cls dataset.Label, cfg
 		Visitor:         v,
 		DisableBackward: !cfg.BackwardPruning,
 		MaxNodes:        cfg.MaxNodes,
-		Workers:         cfg.Workers,
 		Progress:        cfg.Progress,
 		ProgressEvery:   cfg.ProgressEvery,
 	}
@@ -311,17 +309,6 @@ type topkVisitor struct {
 	lists     []*rules.TopKList // per reordered positive row
 	effMinsup int               // dynamically raised when DynamicMinsup
 
-	// floors is the cross-worker threshold board, non-nil only for
-	// parallel runs (Config.Workers > 1); floorConf/floorSup are the
-	// merge side's publication scratch for the speculative floors and
-	// frontConf/frontSup for the tie-prunable frontier channel (see
-	// publishFloors).
-	floors    *engine.Floors
-	floorConf []float64
-	floorSup  []int
-	frontConf []float64
-	frontSup  []int
-
 	// provisional single-item seeds: group -> item id, resolved after
 	// mining into their true upper bounds.
 	provisional map[*rules.Group]int
@@ -424,13 +411,9 @@ func (v *topkVisitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 
 // ProgressFloor implements engine.FloorReporter: the weakest per-row
 // top-k confidence threshold, i.e. the dynamic minconf floor pruning is
-// currently measured against. Parallel runs read the cross-worker
-// Floors board (mutex-guarded); sequential runs scan the lists on the
-// mining goroutine itself, so neither path races with list updates.
+// currently measured against. The engine calls it on the mining
+// goroutine itself, so the scan cannot race with list updates.
 func (v *topkVisitor) ProgressFloor() float64 {
-	if v.floors != nil {
-		return v.floors.MinConf()
-	}
 	minC := math.Inf(1)
 	for _, l := range v.lists {
 		c, _ := l.Threshold()
@@ -521,14 +504,13 @@ func (v *topkVisitor) OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos []
 	if v.cfg.MinConf > 0 && rules.CompareConf(conf, v.cfg.MinConf) < 0 {
 		return
 	}
-	v.apply(func() []int { return v.expand(items) }, rows, conf, xp, xPos)
+	v.apply(items, rows, conf, xp, xPos)
 }
 
-// apply is the Step 13 list maintenance shared by live OnGroup events
-// and the deterministic replay of worker-recorded events during Join:
-// offer the group to every covered row's list, building it lazily on
-// first acceptance. antecedent is called at most once.
-func (v *topkVisitor) apply(antecedent func() []int, rows *bitset.Set, conf float64, xp int, xPos []int) {
+// apply is the Step 13 list maintenance: offer the group to every
+// covered row's list, building it (and expanding its antecedent) on
+// first acceptance.
+func (v *topkVisitor) apply(items []int, rows *bitset.Set, conf float64, xp int, xPos []int) {
 	var g *rules.Group // built on first acceptance
 	for _, p := range xPos {
 		l := v.lists[p]
@@ -548,10 +530,10 @@ func (v *topkVisitor) apply(antecedent func() []int, rows *bitset.Set, conf floa
 			continue
 		}
 		if g == nil {
-			// rows aliases the engine's arena (or a replayed event's
-			// buffer); the retained group needs its own copy.
+			// rows aliases the engine's arena; the retained group needs
+			// its own copy.
 			g = &rules.Group{
-				Antecedent: antecedent(),
+				Antecedent: v.expand(items),
 				Class:      v.cls,
 				Support:    xp,
 				Confidence: conf,

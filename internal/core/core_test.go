@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/rules"
@@ -427,5 +430,55 @@ func TestMaxNodesPartialResults(t *testing.T) {
 				t.Fatal("partial results must still cover their rows")
 			}
 		}
+	}
+}
+
+// wideDataset builds a dense dataset: rows*items with ~2/3 density and
+// alternating labels.
+func wideDataset(r *rand.Rand, rows, items int) *dataset.Dataset {
+	d := &dataset.Dataset{ClassNames: []string{"C", "notC"}}
+	for i := 0; i < items; i++ {
+		d.Items = append(d.Items, dataset.Item{Gene: i, GeneName: "g"})
+	}
+	for row := 0; row < rows; row++ {
+		var its []int
+		for i := 0; i < items; i++ {
+			if r.Intn(3) != 0 {
+				its = append(its, i)
+			}
+		}
+		d.Rows = append(d.Rows, its)
+		d.Labels = append(d.Labels, dataset.Label(row%2))
+	}
+	return d
+}
+
+func TestMineContextCancelled(t *testing.T) {
+	d, _ := dataset.RunningExample()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := MineContext(ctx, d, 0, DefaultConfig(2, 1))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatal("cancelled mine must not return a result")
+	}
+}
+
+func TestMineContextDeadline(t *testing.T) {
+	// A dataset dense enough that the search cannot finish within the
+	// deadline: the run must come back promptly with the context error.
+	r := rand.New(rand.NewSource(3))
+	d := wideDataset(r, 60, 200)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := MineContext(ctx, d, 0, DefaultConfig(1, 20))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancellation took %v, want prompt return", elapsed)
 	}
 }

@@ -14,13 +14,9 @@ type miner struct{}
 func (miner) Name() string { return "topk" }
 
 func (miner) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Result, engine.Stats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, engine.Stats{}, err
-	}
 	cfg := DefaultConfig(opts.Minsup, opts.K)
 	cfg.MaxNodes = opts.MaxNodes
 	cfg.MinConf = opts.Minconf
-	cfg.Workers = opts.EffectiveWorkers()
 	cfg.Progress = opts.Progress
 	cfg.ProgressEvery = opts.ProgressEvery
 	if opts.DisableSeedInit {

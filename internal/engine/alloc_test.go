@@ -27,24 +27,6 @@ func (v *minsupVisitor) OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos 
 	v.groups++
 }
 
-// parMinsupVisitor adds Fork/Merge so the same visitor drives the
-// parallel mode. The group count is a commutative aggregate, so the
-// forks buffer nothing (no Flusher: the scheduler streams only child
-// splices) and the counts fold through JoinWorkers after quiescence.
-type parMinsupVisitor struct {
-	minsupVisitor
-}
-
-func (v *parMinsupVisitor) Fork() Visitor {
-	return &parMinsupVisitor{minsupVisitor{minsup: v.minsup}}
-}
-func (v *parMinsupVisitor) Merge(batch any) {}
-func (v *parMinsupVisitor) JoinWorkers(forks []Visitor) {
-	for _, f := range forks {
-		v.groups += f.(*parMinsupVisitor).groups
-	}
-}
-
 // synthItemRows builds a deterministic dataset-shaped item index: item
 // it contains row r iff a fixed multiplicative hash of (r, it) clears a
 // density threshold. No RNG state, so every test and benchmark run
@@ -66,7 +48,7 @@ func synthItemRows(numRows, numItems, densityPct int) []*bitset.Set {
 	return itemRows
 }
 
-func synthEnumerator(v Visitor, numRows, numPos, numItems, workers int) (*Enumerator, []int) {
+func synthEnumerator(v Visitor, numRows, numPos, numItems int) (*Enumerator, []int) {
 	items := make([]int, numItems)
 	for i := range items {
 		items[i] = i
@@ -76,11 +58,10 @@ func synthEnumerator(v Visitor, numRows, numPos, numItems, workers int) (*Enumer
 		NumPos:   numPos,
 		ItemRows: synthItemRows(numRows, numItems, 40),
 		Visitor:  v,
-		Workers:  workers,
 	}, items
 }
 
-// TestKernelSteadyStateAllocs pins the sequential hot loop at exactly
+// TestKernelSteadyStateAllocs pins the hot loop at exactly
 // zero heap allocations per Run once the arena is warm: the first Run
 // builds the scratch levels and the row→item index, every later Run
 // reuses them.
@@ -89,7 +70,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; the pin only holds in normal builds")
 	}
 	v := &minsupVisitor{minsup: 2}
-	eng, items := synthEnumerator(v, 40, 20, 24, 0)
+	eng, items := synthEnumerator(v, 40, 20, 24)
 	ctx := context.Background()
 	if _, err := eng.Run(ctx, items); err != nil { // warm-up: grows the arena
 		t.Fatal(err)
@@ -103,71 +84,15 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("sequential steady-state Run: %.1f allocs, want exactly 0", allocs)
-	}
-}
-
-// TestParallelMarginalAllocs checks that parallel-mode allocations are
-// per run (tasks, forks, per-worker arenas, goroutines), not per node:
-// raising the node budget must not raise the allocation count.
-func TestParallelMarginalAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; the pin only holds in normal builds")
-	}
-	measure := func(maxNodes int) (allocs float64, nodes int) {
-		v := &parMinsupVisitor{minsupVisitor{minsup: 2}}
-		eng, items := synthEnumerator(v, 40, 20, 24, 4)
-		eng.MaxNodes = maxNodes
-		ctx := context.Background()
-		if _, err := eng.Run(ctx, items); err != nil { // warm-up
-			t.Fatal(err)
-		}
-		allocs = testing.AllocsPerRun(10, func() {
-			if _, err := eng.Run(ctx, items); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return allocs, eng.stats.Nodes
-	}
-	aSmall, nSmall := measure(200)
-	aBig, nBig := measure(4000)
-	if nBig <= nSmall {
-		t.Fatalf("budgets did not separate node counts: %d vs %d", nSmall, nBig)
-	}
-	// Identical worker/task structure, ~20x the nodes: the marginal cost
-	// per extra node must be zero allocations (tolerance covers runtime
-	// noise like goroutine stack growth).
-	marginal := (aBig - aSmall) / float64(nBig-nSmall)
-	if marginal > 0.01 {
-		t.Errorf("parallel marginal allocations = %.4f/node over %d extra nodes (%.0f -> %.0f), want ~0",
-			marginal, nBig-nSmall, aSmall, aBig)
+		t.Errorf("steady-state Run: %.1f allocs, want exactly 0", allocs)
 	}
 }
 
 // BenchmarkMineKernel measures raw enumeration throughput of the
-// sequential kernel on the synthetic tree, reporting nodes/sec.
+// kernel on the synthetic tree, reporting nodes/sec.
 func BenchmarkMineKernel(b *testing.B) {
 	v := &minsupVisitor{minsup: 2}
-	eng, items := synthEnumerator(v, 60, 30, 30, 0)
-	ctx := context.Background()
-	if _, err := eng.Run(ctx, items); err != nil {
-		b.Fatal(err)
-	}
-	nodesPerRun := eng.stats.Nodes
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(ctx, items); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(nodesPerRun)*float64(b.N)/b.Elapsed().Seconds(), "nodes/s")
-}
-
-// BenchmarkMineKernelParallel is the same tree mined with four workers.
-func BenchmarkMineKernelParallel(b *testing.B) {
-	v := &parMinsupVisitor{minsupVisitor{minsup: 2}}
-	eng, items := synthEnumerator(v, 60, 30, 30, 4)
+	eng, items := synthEnumerator(v, 60, 30, 30)
 	ctx := context.Background()
 	if _, err := eng.Run(ctx, items); err != nil {
 		b.Fatal(err)

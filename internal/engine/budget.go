@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync/atomic"
 )
 
@@ -16,9 +15,9 @@ import (
 var ErrNodeBudget = errors.New("engine: node budget exhausted")
 
 // Budget meters enumeration work against a node cap and a context.
-// One Budget is shared by every worker of a run: the node counter is
-// atomic, so a parallel search stops within one node of the cap, and
-// cancelling the context stops all workers at their next node entry.
+// It is safe for concurrent use: the node counter is atomic, so Nodes
+// and Remaining may be read while the search charges, and cancelling
+// the context stops the search at its next node entry.
 type Budget struct {
 	ctx      context.Context
 	maxNodes int64
@@ -35,7 +34,7 @@ func NewBudget(ctx context.Context, maxNodes int) *Budget {
 
 // Reset rearms the budget for a new run without allocating: the node
 // counter restarts at zero and subsequent Charge calls check the given
-// context and cap. Not safe to call while workers are charging.
+// context and cap. Not safe to call while a search is charging.
 func (b *Budget) Reset(ctx context.Context, maxNodes int) {
 	if ctx == nil {
 		ctx = context.Background() //vet:ignore ctxflow defensive default for a nil ctx; callers on the cancellation path always pass one
@@ -81,6 +80,3 @@ func (b *Budget) Remaining() int64 {
 	}
 	return left
 }
-
-// maxProcs is the Workers default.
-func maxProcs() int { return runtime.GOMAXPROCS(0) }

@@ -15,8 +15,6 @@ package engine
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -24,33 +22,15 @@ import (
 	"repro/internal/rules"
 )
 
-// ErrBadWorkers reports an Options.Workers value that no worker pool
-// can honor (negative). Match with errors.Is; the facade maps its own
-// AllCores marker before options ever reach the engine.
-var ErrBadWorkers = errors.New("engine: negative worker count")
-
 // Stats counts the work performed by one mining run.
 type Stats struct {
-	Nodes            int // enumeration nodes entered (all workers)
+	Nodes            int // enumeration nodes entered
 	BackwardPruned   int // nodes cut by the closedness check (Step 7)
 	PrunedBeforeScan int // nodes cut by loose bounds (Step 9)
 	PrunedAfterScan  int // nodes cut by tight bounds (Step 11)
 	Groups           int // OnGroup invocations
 	MaxDepth         int
-	Workers          int  // workers that ran (1 = sequential)
 	Aborted          bool // true when MaxNodes stopped the search early
-}
-
-// merge folds a worker's statistics into the run total.
-func (s *Stats) merge(o Stats) {
-	s.Nodes += o.Nodes
-	s.BackwardPruned += o.BackwardPruned
-	s.PrunedBeforeScan += o.PrunedBeforeScan
-	s.PrunedAfterScan += o.PrunedAfterScan
-	s.Groups += o.Groups
-	if o.MaxDepth > s.MaxDepth {
-		s.MaxDepth = o.MaxDepth
-	}
 }
 
 // Threshold is the dynamic pruning threshold computed at a node (Step
@@ -93,11 +73,6 @@ type Options struct {
 	// units; Stats.Aborted reports the cutoff and partial results are
 	// returned.
 	MaxNodes int
-	// Workers sets the worker count for miners with a parallel mode;
-	// 0 means GOMAXPROCS, 1 forces sequential execution, negative
-	// values are rejected by Validate with ErrBadWorkers. Parallel
-	// output is deterministically identical to sequential output.
-	Workers int
 	// Variant selects a miner-specific engine implementation (farmer:
 	// "bitset", "prefix", "naive"; empty = the miner's default).
 	Variant string
@@ -118,24 +93,6 @@ type Options struct {
 	DisableBackwardPruning bool
 	DisableRowSort         bool
 	DisableDynamicMinsup   bool
-}
-
-// Validate rejects option values no miner can honor. Every registered
-// miner calls it at the top of Mine, so a bad value fails fast with a
-// matchable sentinel instead of silently falling back to a default.
-func (o Options) Validate() error {
-	if o.Workers < 0 {
-		return fmt.Errorf("%w: Workers=%d (use 0 for GOMAXPROCS)", ErrBadWorkers, o.Workers)
-	}
-	return nil
-}
-
-// EffectiveWorkers resolves the Workers default (0 = GOMAXPROCS).
-func (o Options) EffectiveWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return maxProcs()
 }
 
 // Result is the miner-independent output shape. Rule-group miners fill

@@ -3,12 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/dataset"
-	"repro/internal/rules"
 )
 
 // collector is a no-prune visitor that records every group.
@@ -33,28 +33,6 @@ func (c *collector) OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos []in
 		xp:    xp,
 		xn:    xn,
 	})
-}
-
-// parCollector adds Fork/Flush/Merge so the collector can drive the
-// parallel mode: forks record privately, the scheduler seals their
-// batches at task hand-off boundaries and streams them back in
-// sequential enumeration order, which must reproduce the sequential
-// event order exactly.
-type parCollector struct {
-	collector
-}
-
-func (c *parCollector) Fork() Visitor { return &parCollector{} }
-func (c *parCollector) Flush() any {
-	if len(c.groups) == 0 {
-		return nil
-	}
-	gs := c.groups
-	c.groups = nil
-	return gs
-}
-func (c *parCollector) Merge(batch any) {
-	c.groups = append(c.groups, batch.([]collected)...)
 }
 
 // enumeratorFor builds an enumerator over the running example with
@@ -235,17 +213,6 @@ func TestMaxNodesAborts(t *testing.T) {
 	}
 }
 
-func TestMaxNodesAbortsParallel(t *testing.T) {
-	c := &parCollector{}
-	eng, items := enumeratorFor(t, c, false)
-	eng.MaxNodes = 2
-	eng.Workers = 4
-	stats := mustRun(t, eng, items)
-	if !stats.Aborted {
-		t.Fatal("tiny budget should abort in parallel mode too")
-	}
-}
-
 func TestEmptyUniverse(t *testing.T) {
 	c := &collector{}
 	eng := &Enumerator{NumRows: 0, NumPos: 0, Visitor: c}
@@ -268,14 +235,80 @@ func TestCancelledContextStopsRun(t *testing.T) {
 	}
 }
 
-func TestCancelledContextStopsParallelRun(t *testing.T) {
-	c := &parCollector{}
-	eng, items := enumeratorFor(t, c, false)
-	eng.Workers = 4
+// cancelAtVisitor cancels the run's context on its after-th
+// UpdateThresholds call, so the cancel lands in the middle of the
+// search rather than before it.
+type cancelAtVisitor struct {
+	collector
+	cancel context.CancelFunc
+	after  int
+	calls  int
+}
+
+func (v *cancelAtVisitor) UpdateThresholds(xPos, candPos []int) Threshold {
+	v.calls++
+	if v.calls == v.after {
+		v.cancel()
+	}
+	return Threshold{}
+}
+
+// TestCancelMidRunAbortsPromptly cancels a run part-way through: the
+// next node entry must fail the budget check, so the search stops
+// within one node of the cancel instead of finishing the tree.
+func TestCancelMidRunAbortsPromptly(t *testing.T) {
+	seq, items := synthEnumerator(&minsupVisitor{minsup: 2}, 60, 30, 30)
+	full := mustRun(t, seq, items)
+	if full.Nodes < 500 {
+		t.Fatalf("synthetic tree too small for a mid-run cancel: %d nodes", full.Nodes)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := eng.Run(ctx, items); !errors.Is(err, context.Canceled) {
+	defer cancel()
+	v := &cancelAtVisitor{cancel: cancel, after: 40}
+	eng, items := synthEnumerator(v, 60, 30, 30)
+	stats, err := eng.Run(ctx, items)
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if stats.Aborted {
+		t.Fatal("cancellation must not masquerade as a budget abort")
+	}
+	// UpdateThresholds runs at least once per node, so the cancel lands
+	// by node 40; the next node entry is counted, then stops the search.
+	if stats.Nodes > 41 {
+		t.Fatalf("cancel was not prompt: visited %d of %d nodes", stats.Nodes, full.Nodes)
+	}
+}
+
+// TestReuseAcrossRuns exercises the enumerator's retained state (arena,
+// row→item index, budget): repeated Runs on one Enumerator must produce
+// identical output every time, including right after a budget-aborted
+// Run.
+func TestReuseAcrossRuns(t *testing.T) {
+	ref := &collector{}
+	engRef, items := enumeratorFor(t, ref, false)
+	refStats := mustRun(t, engRef, items)
+
+	c := &collector{}
+	eng, items2 := enumeratorFor(t, c, false)
+	for run := 0; run < 3; run++ {
+		c.groups = c.groups[:0]
+		stats := mustRun(t, eng, items2)
+		if !reflect.DeepEqual(c.groups, ref.groups) {
+			t.Fatalf("run %d: groups differ from a fresh enumerator's", run)
+		}
+		if stats != refStats {
+			t.Fatalf("run %d: stats %+v, want %+v", run, stats, refStats)
+		}
+		if run == 1 {
+			// Interleave a budget-aborted Run; the next full Run must be
+			// unaffected by the aborted search's leftover arena state.
+			eng.MaxNodes = 3
+			if stats := mustRun(t, eng, items2); !stats.Aborted {
+				t.Fatal("tiny budget should abort")
+			}
+			eng.MaxNodes = 0
+		}
 	}
 }
 
@@ -295,67 +328,6 @@ func TestBudgetChargePrefersContextError(t *testing.T) {
 	}
 	if b.Nodes() != 3 {
 		t.Fatalf("Nodes() = %d, want 3", b.Nodes())
-	}
-}
-
-func TestParallelMatchesSequentialCollector(t *testing.T) {
-	seq := &parCollector{}
-	engSeq, items := enumeratorFor(t, seq, false)
-	mustRun(t, engSeq, items)
-
-	for _, workers := range []int{2, 3, 8} {
-		par := &parCollector{}
-		engPar, items2 := enumeratorFor(t, par, false)
-		engPar.Workers = workers
-		stats := mustRun(t, engPar, items2)
-		if len(par.groups) != len(seq.groups) {
-			t.Fatalf("workers=%d: %d groups, want %d", workers, len(par.groups), len(seq.groups))
-		}
-		for i := range seq.groups {
-			a, b := seq.groups[i], par.groups[i]
-			if len(a.items) != len(b.items) || a.xp != b.xp || a.xn != b.xn || len(a.rows) != len(b.rows) {
-				t.Fatalf("workers=%d: group %d differs: %+v vs %+v", workers, i, a, b)
-			}
-			for j := range a.items {
-				if a.items[j] != b.items[j] {
-					t.Fatalf("workers=%d: group %d items differ", workers, i)
-				}
-			}
-			for j := range a.rows {
-				if a.rows[j] != b.rows[j] {
-					t.Fatalf("workers=%d: group %d rows differ", workers, i)
-				}
-			}
-		}
-		if stats.Nodes != engSeq.stats.Nodes {
-			t.Fatalf("workers=%d: nodes %d, want %d (no-prune search must be identical)", workers, stats.Nodes, engSeq.stats.Nodes)
-		}
-	}
-}
-
-func TestFloorsSyncMonotoneExchange(t *testing.T) {
-	f := NewFloors(3)
-	cA := []float64{0.5, 0.9, 0}
-	sA := []int{2, 3, 0}
-	f.Sync(cA, sA)
-
-	cB := []float64{0.7, 0.9, 0.1}
-	sB := []int{1, 4, 1}
-	f.Sync(cB, sB)
-	// B should have been max-merged with A's published floors.
-	if rules.CompareConf(cB[0], 0.7) != 0 || sB[0] != 1 {
-		t.Fatalf("row 0: got (%v,%d)", cB[0], sB[0])
-	}
-	if rules.CompareConf(cB[1], 0.9) != 0 || sB[1] != 4 {
-		t.Fatalf("row 1: tie on conf must take larger sup, got (%v,%d)", cB[1], sB[1])
-	}
-
-	// A resyncs and picks up B's improvements.
-	f.Sync(cA, sA)
-	if rules.CompareConf(cA[0], 0.7) != 0 || sA[0] != 1 ||
-		rules.CompareConf(cA[1], 0.9) != 0 || sA[1] != 4 ||
-		rules.CompareConf(cA[2], 0.1) != 0 || sA[2] != 1 {
-		t.Fatalf("resync: got conf=%v sup=%v", cA, sA)
 	}
 }
 
@@ -384,14 +356,5 @@ func TestRegistry(t *testing.T) {
 	names := Miners()
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("Miners() not sorted: %v", names)
-	}
-}
-
-func TestEffectiveWorkers(t *testing.T) {
-	if got := (Options{Workers: 3}).EffectiveWorkers(); got != 3 {
-		t.Fatalf("explicit workers: got %d", got)
-	}
-	if got := (Options{}).EffectiveWorkers(); got < 1 {
-		t.Fatalf("default workers: got %d", got)
 	}
 }

@@ -1,19 +1,15 @@
 package engine
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
 
 // ProgressSnapshot is one periodic observation of a running
 // enumeration, delivered to Options.Progress. All fields are sampled
-// cheaply from counters the hot loop maintains anyway; in parallel runs
-// they are a consistent-enough view for monitoring, not a barrier
-// snapshot (Nodes and Groups may be one sampling stride apart).
+// cheaply from counters the hot loop maintains anyway.
 type ProgressSnapshot struct {
-	// Nodes is the number of enumeration nodes entered so far, across
-	// all workers of the run.
+	// Nodes is the number of enumeration nodes entered so far.
 	Nodes int64
 	// Groups is the number of OnGroup events so far.
 	Groups int64
@@ -29,10 +25,10 @@ type ProgressSnapshot struct {
 }
 
 // ProgressFunc receives ProgressSnapshots during a run. Calls are
-// serialized (never concurrent with each other) but may come from any
-// worker goroutine; implementations should store and return — a slow
-// hook stalls the worker that happened to emit. Every run that enters
-// at least one node delivers at least one final snapshot.
+// serialized (never concurrent with each other) and come from the
+// goroutine running the enumeration; implementations should store and
+// return — a slow hook stalls the search. Every run that enters at
+// least one node delivers at least one final snapshot.
 type ProgressFunc func(ProgressSnapshot)
 
 // DefaultProgressEvery is the node sampling stride when
@@ -44,19 +40,17 @@ const DefaultProgressEvery = 4096
 // FloorReporter is implemented by visitors whose pruning uses a
 // dynamic global confidence floor worth exposing in progress snapshots
 // (the top-k visitor's weakest per-row threshold). ProgressFloor is
-// called on the cold sampling path only, from the goroutine that emits
-// the snapshot; implementations relying on visitor-goroutine state must
-// synchronize accordingly.
+// called on the cold sampling path only, from the goroutine running the
+// enumeration, so it may read visitor state without synchronization.
 type FloorReporter interface {
 	ProgressFloor() float64
 }
 
 // progressSampler turns per-node ticks into periodic ProgressFunc
-// calls. One sampler is shared by every worker of a run: ticks and
-// group counts are atomic, and emission is mutex-serialized so the
-// hook never observes concurrent calls. The sampler is retained on the
-// Enumerator and re-armed per Run, so steady-state runs allocate
-// nothing.
+// calls. It is safe for concurrent use: ticks and group counts are
+// atomic, and emission is mutex-serialized so the hook never observes
+// concurrent calls. The sampler is retained on the Enumerator and
+// re-armed per Run, so steady-state runs allocate nothing.
 type progressSampler struct {
 	fn     ProgressFunc
 	every  int64
@@ -82,7 +76,7 @@ func (p *progressSampler) arm(fn ProgressFunc, every int64, budget *Budget, floo
 }
 
 // tick charges one node and emits a snapshot every `every` ticks.
-// localDepth is the calling worker's deepest level so far; the sampler
+// localDepth is the search's deepest level so far; the sampler
 // folds it into the global maximum at emission time only, keeping the
 // per-node cost to one atomic add and a comparison.
 //
@@ -120,19 +114,4 @@ func (p *progressSampler) emit(localDepth int) {
 		snap.MinconfFloor = p.floor.ProgressFloor()
 	}
 	p.fn(snap)
-}
-
-// minConfOf scans per-row confidence floors for the weakest entry,
-// mapping "no rows" to 0.
-func minConfOf(conf []float64) float64 {
-	min := math.Inf(1)
-	for _, c := range conf {
-		if c < min {
-			min = c
-		}
-	}
-	if math.IsInf(min, 1) {
-		return 0
-	}
-	return min
 }

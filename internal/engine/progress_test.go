@@ -2,17 +2,18 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// TestProgressSnapshots checks the sampling contract on the sequential
-// kernel: snapshots arrive, node counts are non-decreasing, and the
+// TestProgressSnapshots checks the sampling contract on the kernel: snapshots arrive, node counts are non-decreasing, and the
 // final snapshot reports the run's exact totals.
 func TestProgressSnapshots(t *testing.T) {
 	var snaps []ProgressSnapshot
 	v := &minsupVisitor{minsup: 2}
-	eng, items := synthEnumerator(v, 40, 20, 24, 0)
+	eng, items := synthEnumerator(v, 40, 20, 24)
 	eng.Progress = func(s ProgressSnapshot) { snaps = append(snaps, s) }
 	eng.ProgressEvery = 64
 
@@ -50,7 +51,7 @@ func TestProgressSnapshots(t *testing.T) {
 func TestProgressBudgetRemaining(t *testing.T) {
 	var snaps []ProgressSnapshot
 	v := &minsupVisitor{minsup: 2}
-	eng, items := synthEnumerator(v, 40, 20, 24, 0)
+	eng, items := synthEnumerator(v, 40, 20, 24)
 	eng.MaxNodes = 500
 	eng.Progress = func(s ProgressSnapshot) { snaps = append(snaps, s) }
 	eng.ProgressEvery = 64
@@ -72,36 +73,63 @@ func TestProgressBudgetRemaining(t *testing.T) {
 	}
 }
 
-// TestProgressParallel drives the shared sampler from four workers; run
-// under -race this is the synchronization check, and in any mode the
-// snapshots must stay monotone because ticks and emissions are
-// serialized through the sampler.
+// TestProgressParallel drives one sampler from four goroutines; run
+// under -race this is the synchronization check. The sampler is safe
+// for concurrent use, so emissions must never overlap, every stride
+// must emit exactly once, and snapshots must stay monotone because
+// ticks and emissions are serialized through the sampler.
 func TestProgressParallel(t *testing.T) {
-	var mu sync.Mutex
+	const (
+		goroutines = 4
+		ticks      = 20000
+		every      = 4
+	)
+	var inFlight, overlaps atomic.Int32
 	var snaps []ProgressSnapshot
-	v := &parMinsupVisitor{minsupVisitor{minsup: 2}}
-	eng, items := synthEnumerator(v, 40, 20, 24, 4)
-	eng.Progress = func(s ProgressSnapshot) {
-		mu.Lock()
+	budget := NewBudget(context.Background(), 0)
+	p := &progressSampler{}
+	p.arm(func(s ProgressSnapshot) {
+		if inFlight.Add(1) > 1 {
+			overlaps.Add(1)
+		}
 		snaps = append(snaps, s)
-		mu.Unlock()
+		runtime.Gosched() // widen the window for an overlapping emission
+		inFlight.Add(-1)
+	}, every, budget, nil)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < ticks; i++ {
+				if err := budget.Charge(1); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%10 == 0 {
+					p.onGroup()
+				}
+				p.tick(i % 7)
+			}
+		}()
 	}
-	eng.ProgressEvery = 32
-
-	stats, err := eng.Run(context.Background(), items)
-	if err != nil {
-		t.Fatal(err)
+	close(start)
+	wg.Wait()
+	if n := overlaps.Load(); n > 0 {
+		t.Fatalf("%d emissions overlapped another", n)
 	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots from parallel run")
+	if want := goroutines * ticks / every; len(snaps) != want {
+		t.Fatalf("got %d snapshots, want one per stride (%d)", len(snaps), want)
 	}
 	for i := 1; i < len(snaps); i++ {
-		if snaps[i].Nodes < snaps[i-1].Nodes {
-			t.Fatalf("snapshot %d: nodes went backwards (%d -> %d)", i, snaps[i-1].Nodes, snaps[i].Nodes)
+		if snaps[i].Nodes < snaps[i-1].Nodes || snaps[i].Groups < snaps[i-1].Groups {
+			t.Fatalf("snapshot %d went backwards: %+v -> %+v", i, snaps[i-1], snaps[i])
 		}
 	}
-	if final := snaps[len(snaps)-1]; final.Nodes != int64(stats.Nodes) {
-		t.Errorf("final snapshot nodes = %d, stats = %d", final.Nodes, stats.Nodes)
+	if last := snaps[len(snaps)-1]; last.MaxDepth > 6 || last.BudgetRemaining != -1 {
+		t.Fatalf("final snapshot %+v: depth above any ticked depth or a bounded budget", last)
 	}
 }
 
@@ -114,7 +142,7 @@ func TestProgressSteadyStateAllocs(t *testing.T) {
 	}
 	var last ProgressSnapshot
 	v := &minsupVisitor{minsup: 2}
-	eng, items := synthEnumerator(v, 40, 20, 24, 0)
+	eng, items := synthEnumerator(v, 40, 20, 24)
 	eng.Progress = func(s ProgressSnapshot) { last = s }
 	eng.ProgressEvery = 64
 	ctx := context.Background()

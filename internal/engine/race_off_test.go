@@ -4,6 +4,5 @@ package engine
 
 // raceEnabled reports whether the race detector instruments this build.
 // Its shadow-memory bookkeeping allocates, so the zero-allocation pins
-// skip under -race (the same tests' correctness side still runs there
-// via the Parallel/Oracle suites).
+// skip under -race.
 const raceEnabled = false

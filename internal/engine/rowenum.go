@@ -12,7 +12,7 @@ import (
 // 3), with the structural backward check folded into the engine.
 //
 // Aliasing contract: every slice and bitset a hook receives aliases the
-// engine's per-worker scratch arena and is valid only for the duration
+// engine's scratch arena and is valid only for the duration
 // of the call — the engine overwrites the same buffers at the next node
 // (and at the second UpdateThresholds call of the same node). A visitor
 // that retains anything must copy it at the event boundary: Clone() for
@@ -45,12 +45,12 @@ type Visitor interface {
 	OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos []int)
 }
 
-// Enumerator runs the row enumeration. Configure the fields, then call
-// Run. A single Enumerator is not safe for concurrent Run calls; the
-// parallel mode spawns its own per-worker sub-enumerators internally.
-// Repeated Run calls reuse the enumerator's scratch arena and row→item
-// index, so steady-state runs allocate nothing beyond what the visitor
-// retains; ItemRows must therefore stay unchanged across Runs.
+// Enumerator runs the row enumeration on the calling goroutine.
+// Configure the fields, then call Run. A single Enumerator is not safe
+// for concurrent Run calls. Repeated Run calls reuse the enumerator's
+// scratch arena and row→item index, so steady-state runs allocate
+// nothing beyond what the visitor retains; ItemRows must therefore stay
+// unchanged across Runs.
 type Enumerator struct {
 	NumRows  int           // total rows
 	NumPos   int           // rows 0..NumPos-1 are the consequent class
@@ -65,14 +65,6 @@ type Enumerator struct {
 	// Stats.Aborted reports the cutoff. Results seen so far remain valid
 	// but possibly incomplete.
 	MaxNodes int
-	// Workers > 1 enables the parallel mode when the Visitor implements
-	// ParallelVisitor: subtrees are mined by a work-stealing worker
-	// pool (per-worker deques, steal-half) with adaptive task
-	// generation — a subtree is split off only while some worker is
-	// idle — and event batches are merged back in sequential
-	// enumeration order while mining is in flight. <= 1 runs
-	// sequentially.
-	Workers int
 	// Progress, when non-nil, receives ProgressSnapshots every
 	// ProgressEvery nodes (0 = DefaultProgressEvery) plus one final
 	// snapshot per Run. The sampling adds one branch, one atomic add and
@@ -82,46 +74,25 @@ type Enumerator struct {
 	ProgressEvery int
 
 	budget *Budget
-	sp     spawner
 	stats  Stats
 	prog   *progressSampler
-	sched  *scheduler // parallel mode: retained across Runs (arenas, pools)
 
-	// scratch is this goroutine's arena; rowItems is the transposed
-	// item index (row id -> items whose support contains the row), built
-	// once per enumerator and shared read-only with workers.
+	// scratch is the run's arena; rowItems is the transposed item index
+	// (row id -> items whose support contains the row), built once per
+	// enumerator.
 	scratch  *scratch
 	rowItems []*bitset.Set
 }
 
-// spawner receives the surviving children of a node. The sequential
-// mode is the Enumerator itself (direct recursion); parallel workers
-// decide per child between inline recursion and offloading to their
-// deque. Tasks handed to spawn alias arena buffers (x, items, cand):
-// an implementation that retains a task beyond the call must deep-copy
-// those three fields (the deque hand-off does exactly that).
-type spawner interface {
-	spawn(t task) error
-}
-
-// spawn recurses directly into the child node (sequential mode).
-func (e *Enumerator) spawn(t task) error { return e.visitNode(t) }
-
 // task is one enumeration node: the pending row set x (not yet closed),
 // the alive items, the candidate rows (all ids >= minNext, ascending),
-// and the depth. First-level tasks are the parallel work units.
+// and the depth.
 type task struct {
 	x       *bitset.Set
 	items   []int
 	cand    []int
 	minNext int
 	depth   int
-	// first marks a node's first surviving child. The parallel spawner
-	// keeps it inline: mining it before offloading its siblings lets the
-	// sibling tasks carry the first subtree's accumulated thresholds in
-	// their baselines (see Baseliner), the way sequential DFS carries
-	// them across siblings.
-	first bool
 }
 
 // Run enumerates starting from the given alive item list (the frequent
@@ -130,7 +101,7 @@ type task struct {
 // promptly; a MaxNodes abort is reported via Stats.Aborted with a nil
 // error (partial results in the visitor remain valid).
 func (e *Enumerator) Run(ctx context.Context, items []int) (Stats, error) {
-	e.stats = Stats{Workers: 1}
+	e.stats = Stats{}
 	if len(items) == 0 || e.NumRows == 0 {
 		return e.stats, nil
 	}
@@ -156,13 +127,7 @@ func (e *Enumerator) Run(ctx context.Context, items []int) (Stats, error) {
 	rootX.Clear()
 	root := task{x: rootX, items: items, cand: e.scratch.rootCand}
 
-	var err error
-	if pv, ok := e.Visitor.(ParallelVisitor); ok && e.Workers > 1 {
-		err = e.runParallel(pv, root)
-	} else {
-		e.sp = e
-		err = e.visitNode(root)
-	}
+	err := e.visitNode(root)
 	if errors.Is(err, ErrNodeBudget) {
 		e.stats.Aborted = true
 		err = nil
@@ -220,9 +185,8 @@ func (e *Enumerator) posSplit(cand []int) (pos, neg []int) {
 	return cand[:i], cand[i:]
 }
 
-// visitNode processes one enumeration node and hands each surviving
-// child to e.sp (direct recursion when sequential, task collection at
-// the parallel root). The node works entirely inside its depth's arena
+// visitNode processes one enumeration node and recurses into each
+// surviving child. The node works entirely inside its depth's arena
 // level: the steady-state path performs zero heap allocations (see
 // DESIGN.md §5b, "memory model of the hot loop").
 //
@@ -345,7 +309,6 @@ func (e *Enumerator) visitNode(t task) error {
 	childX := childLv.xSet()
 	childMask := lv.childMaskSet()
 	posLeft := mp
-	firstChild := true
 	for i, r := range survivors {
 		childXp, childXn := xp, xn
 		if r < e.NumPos {
@@ -366,13 +329,11 @@ func (e *Enumerator) visitNode(t task) error {
 		}
 		childX.CopyFrom(closed)
 		childX.Add(r)
-		if err := e.sp.spawn(task{
+		if err := e.visitNode(task{
 			x: childX, items: childItems, cand: survivors[i+1:], minNext: r + 1, depth: t.depth + 1,
-			first: firstChild,
 		}); err != nil {
 			return err
 		}
-		firstChild = false
 	}
 	return nil
 }

@@ -2,7 +2,7 @@ package engine
 
 import "repro/internal/bitset"
 
-// scratch is the per-worker arena behind the enumeration kernel:
+// scratch is the arena behind the enumeration kernel:
 // depth-indexed stacks of preallocated bitsets and int buffers, grown
 // lazily as the search deepens. Every node at depth d works exclusively
 // in level d (and writes each child's row set into level d+1 before
@@ -10,10 +10,8 @@ import "repro/internal/bitset"
 // allocations — buffers are sized to their worst case once and reused
 // for every node that ever reaches the depth.
 //
-// Ownership: a scratch belongs to exactly one goroutine. The parallel
-// mode clones one scratch per worker before any worker starts, which is
-// what keeps the prebuilt-task worker pattern free of shared mutable
-// bitsets (see DESIGN.md §5b).
+// Ownership: a scratch belongs to one Enumerator, and so to the one
+// goroutine running it (see DESIGN.md §5b).
 type scratch struct {
 	numRows  int
 	numItems int
@@ -67,17 +65,6 @@ func (sc *scratch) level(d int) *level {
 		})
 	}
 	return sc.levels[d]
-}
-
-// clone returns a fresh arena with the same geometry, pre-grown to the
-// same depth. Contents are not copied: every level buffer is fully
-// (re)written by the kernel before it is read, which is also why
-// reusing one worker's scratch across the tasks it claims cannot leak
-// state between subtrees.
-func (sc *scratch) clone() *scratch {
-	c := newScratch(sc.numRows, sc.numPos, sc.numItems)
-	c.level(len(sc.levels) - 1)
-	return c
 }
 
 // The accessors below are how the kernel borrows arena bitsets for

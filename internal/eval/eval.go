@@ -34,8 +34,8 @@ type Options struct {
 	// LBMaxLen / LBMaxCandidates bound lower-bound searches.
 	LBMaxLen        int
 	LBMaxCandidates int
-	// Workers is the RCBT mining worker count (0 or 1 = sequential;
-	// accuracy is unaffected, only training wall time).
+	// Workers is how many classes RCBT training mines at once (0 or 1
+	// = one at a time; accuracy is unaffected, only training wall time).
 	Workers int
 	// Skip disables named classifiers (keys of Result.Accuracy).
 	Skip map[string]bool

@@ -70,10 +70,6 @@ type Config struct {
 	// enumeration nodes; Result.Aborted reports the cutoff. Used to
 	// bound baseline runs that would not otherwise terminate.
 	MaxNodes int
-	// Workers > 1 mines first-level subtrees on that many goroutines
-	// (bitset engine only; the table engines are sequential). Output is
-	// identical to sequential output.
-	Workers int
 	// Progress, when non-nil, receives engine.ProgressSnapshots from the
 	// bitset engine every ProgressEvery nodes (the table engines do not
 	// report progress).
@@ -226,34 +222,6 @@ func (v *staticVisitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 	return engine.Threshold{}
 }
 
-// Fork returns a private visitor for one worker: the thresholds are
-// static, so workers share nothing but read-only configuration.
-func (v *staticVisitor) Fork() engine.Visitor {
-	return &staticVisitor{
-		minsup: v.minsup, minconf: v.minconf, minchi: v.minchi,
-		totalPos: v.totalPos, totalNeg: v.totalNeg, cls: v.cls,
-	}
-}
-
-// Flush seals the groups collected since the last hand-off boundary;
-// each group already owns its antecedent and rows (OnGroup copies), so
-// the slice transfers to the merge side without aliasing the worker.
-func (v *staticVisitor) Flush() any {
-	if len(v.groups) == 0 {
-		return nil
-	}
-	gs := v.groups
-	v.groups = nil
-	return gs
-}
-
-// Merge appends one streamed batch; the engine delivers batches in
-// sequential discovery order, which is exactly the order a sequential
-// run appends groups in.
-func (v *staticVisitor) Merge(batch any) {
-	v.groups = append(v.groups, batch.([]*rules.Group)...)
-}
-
 func (v *staticVisitor) PruneBeforeScan(_ engine.Threshold, xp, xn, rp, rn int) bool {
 	ubSup := xp + rp
 	if ubSup < v.minsup {
@@ -332,7 +300,6 @@ func mineBitset(ctx context.Context, d *dataset.Dataset, cls dataset.Label, cfg 
 		ItemRows:      itemRows,
 		Visitor:       v,
 		MaxNodes:      cfg.MaxNodes,
-		Workers:       cfg.Workers,
 		Progress:      cfg.Progress,
 		ProgressEvery: cfg.ProgressEvery,
 	}

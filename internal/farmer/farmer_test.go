@@ -1,6 +1,8 @@
 package farmer
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -333,5 +335,56 @@ func TestMinChiValidation(t *testing.T) {
 	d, _ := dataset.RunningExample()
 	if _, err := Mine(d, 0, Config{Minsup: 1, MinChi: -1}); err == nil {
 		t.Fatal("negative minchi must error")
+	}
+}
+
+// randomDense builds a dataset with plenty of closed structure: ~2/3
+// density and alternating labels.
+func randomDense(r *rand.Rand, rows, items int) *dataset.Dataset {
+	d := &dataset.Dataset{ClassNames: []string{"C", "notC"}}
+	for i := 0; i < items; i++ {
+		d.Items = append(d.Items, dataset.Item{Gene: i, GeneName: "g"})
+	}
+	for row := 0; row < rows; row++ {
+		var its []int
+		for i := 0; i < items; i++ {
+			if r.Intn(3) != 0 {
+				its = append(its, i)
+			}
+		}
+		d.Rows = append(d.Rows, its)
+		d.Labels = append(d.Labels, dataset.Label(row%2))
+	}
+	return d
+}
+
+func TestMineContextCancelledAllEngines(t *testing.T) {
+	d, _ := dataset.RunningExample()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, eng := range []Engine{EngineBitset, EnginePrefix, EngineNaive} {
+		cfg := Config{Minsup: 1, Engine: eng}
+		res, err := MineContext(ctx, d, 0, cfg)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("engine %s: err = %v, want context.Canceled", eng, err)
+		}
+		if res != nil {
+			t.Fatalf("engine %s: cancelled mine must not return a result", eng)
+		}
+	}
+}
+
+func TestMaxNodesAbortsAllEngines(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	d := randomDense(r, 16, 20)
+	for _, eng := range []Engine{EngineBitset, EnginePrefix, EngineNaive} {
+		cfg := Config{Minsup: 1, Engine: eng, MaxNodes: 5}
+		res, err := Mine(d, 0, cfg)
+		if err != nil {
+			t.Fatalf("engine %s: %v", eng, err)
+		}
+		if !res.Aborted || !res.Stats.Aborted {
+			t.Fatalf("engine %s: tiny budget must abort (Aborted=%v Stats.Aborted=%v)", eng, res.Aborted, res.Stats.Aborted)
+		}
 	}
 }

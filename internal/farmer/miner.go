@@ -16,15 +16,11 @@ type miner struct{}
 func (miner) Name() string { return "farmer" }
 
 func (miner) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Result, engine.Stats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, engine.Stats{}, err
-	}
 	cfg := Config{
 		Minsup:        opts.Minsup,
 		Minconf:       opts.Minconf,
 		MinChi:        opts.MinChi,
 		MaxNodes:      opts.MaxNodes,
-		Workers:       opts.EffectiveWorkers(),
 		Progress:      opts.Progress,
 		ProgressEvery: opts.ProgressEvery,
 	}

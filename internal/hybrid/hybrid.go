@@ -40,9 +40,6 @@ type Config struct {
 	// over the whole table restricted to those items (0 = no cap; all
 	// partitions are mined regardless of size).
 	MaxPartitionRows int
-	// Workers is forwarded to the per-partition core runs (0 or 1 =
-	// sequential).
-	Workers int
 	// MaxNodes, when positive, caps the cumulative enumeration nodes
 	// across all partitions (and the residual pass). Once the budget is
 	// spent, remaining partitions are skipped and Result.Stats.Aborted
@@ -80,7 +77,6 @@ type runState struct {
 // hybrid run.
 func (s *runState) coreConfig() core.Config {
 	c := core.DefaultConfig(s.cfg.Minsup, s.cfg.K)
-	c.Workers = s.cfg.Workers
 	if s.cfg.MaxNodes > 0 {
 		c.MaxNodes = s.cfg.MaxNodes - s.stats.Nodes
 	}
@@ -109,7 +105,6 @@ func (s *runState) absorb(st engine.Stats) {
 	s.stats.PrunedAfterScan += st.PrunedAfterScan
 	s.stats.Groups += st.Groups
 	s.stats.MaxDepth = max(s.stats.MaxDepth, st.MaxDepth)
-	s.stats.Workers = max(s.stats.Workers, st.Workers)
 	if st.Aborted {
 		s.stats.Aborted = true
 	}

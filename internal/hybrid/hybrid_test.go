@@ -228,7 +228,7 @@ func TestMinerForwardsBudget(t *testing.T) {
 		t.Fatal("hybrid miner not registered")
 	}
 	_, stats, err := m.Mine(context.Background(), d, engine.Options{
-		Class: 0, K: 2, Minsup: 2, Workers: 1, MaxNodes: 1,
+		Class: 0, K: 2, Minsup: 2, MaxNodes: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestMinerForwardsBudget(t *testing.T) {
 		t.Fatal("adapter dropped the abort flag")
 	}
 	_, stats, err = m.Mine(context.Background(), d, engine.Options{
-		Class: 0, K: 2, Minsup: 2, Workers: 1,
+		Class: 0, K: 2, Minsup: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

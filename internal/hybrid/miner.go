@@ -14,14 +14,10 @@ type miner struct{}
 func (miner) Name() string { return "hybrid" }
 
 func (miner) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Result, engine.Stats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, engine.Stats{}, err
-	}
 	cfg := Config{
 		K:                opts.K,
 		Minsup:           opts.Minsup,
 		MaxPartitionRows: opts.MaxPartitionRows,
-		Workers:          opts.EffectiveWorkers(),
 		MaxNodes:         opts.MaxNodes,
 		Progress:         opts.Progress,
 		ProgressEvery:    opts.ProgressEvery,
@@ -32,9 +28,6 @@ func (miner) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) 
 	}
 	stats := res.Stats
 	stats.Groups = len(res.Groups)
-	if stats.Workers < 1 {
-		stats.Workers = 1
-	}
 	return &engine.Result{
 		PerRow:     res.PerRow,
 		Groups:     res.Groups,

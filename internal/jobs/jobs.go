@@ -131,7 +131,9 @@ type Spec struct {
 	ReturnGroups bool `json:"returnGroups,omitempty"`
 	// NL is the lower-bound rule count for train jobs (0 = 20).
 	NL int `json:"nl,omitempty"`
-	// Workers is the per-job mining worker count (0 = sequential).
+	// Workers applies to train jobs: how many classes are mined at once
+	// (0 or 1 = one at a time). A mine job mines one class on one
+	// goroutine and ignores it.
 	Workers int `json:"workers,omitempty"`
 	// MaxNodes caps enumeration nodes; an exhausted budget is not a
 	// failure — the job succeeds with Partial set and Cause reporting

@@ -9,6 +9,8 @@ package rcbt
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bitset"
@@ -22,8 +24,8 @@ import (
 
 // Config controls RCBT training. The zero value trains with the
 // paper's defaults (K=10, NL=20, MinsupFrac=0.7); any field left at
-// zero takes its default. The tuning fields share the engine.Options
-// vocabulary: Workers, MaxNodes, Timeout.
+// zero takes its default. The tuning fields are Workers, MaxNodes and
+// Timeout.
 type Config struct {
 	// K is the number of covering rule groups per row: one main
 	// classifier plus K-1 standby classifiers (paper: 10; 0 = 10).
@@ -37,8 +39,9 @@ type Config struct {
 	// LBMaxLen / LBMaxCandidates bound the FindLB search (0 = defaults).
 	LBMaxLen        int
 	LBMaxCandidates int
-	// Workers is the mining worker count per class (0 or 1 =
-	// sequential); the trained classifier is identical either way.
+	// Workers is how many classes are mined at once (0 or 1 = one at
+	// a time). Each class is an independent MineTopkRGS run on one
+	// goroutine, so the trained classifier is identical at every value.
 	Workers int
 	// MaxNodes caps enumeration nodes per mined class (0 = unbounded);
 	// when exceeded the miner returns its partial per-row lists and
@@ -50,7 +53,9 @@ type Config struct {
 	Timeout time.Duration
 	// Progress, when non-nil, receives engine.ProgressSnapshots from the
 	// per-class mining runs (the expensive half of training). Snapshots
-	// restart from zero for each mined class.
+	// restart from zero for each mined class; with Workers > 1 the
+	// snapshots of classes mined at once interleave. Calls are
+	// serialized, never concurrent.
 	Progress      engine.ProgressFunc
 	ProgressEvery int
 }
@@ -166,33 +171,9 @@ func TrainContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Classif
 		classCount[int(l)]++
 	}
 
-	// Mine top-k covering rule groups per class.
-	perClass := make([]*core.Result, d.NumClasses())
-	for cls := 0; cls < d.NumClasses(); cls++ {
-		label := dataset.Label(cls)
-		if classCount[cls] == 0 {
-			continue
-		}
-		minsup := int(cfg.MinsupFrac * float64(classCount[cls]))
-		if float64(minsup) < cfg.MinsupFrac*float64(classCount[cls]) {
-			minsup++
-		}
-		if minsup < 1 {
-			minsup = 1
-		}
-		mc := core.DefaultConfig(minsup, cfg.K)
-		mc.Workers = cfg.Workers
-		mc.MaxNodes = cfg.MaxNodes
-		mc.Progress = cfg.Progress
-		mc.ProgressEvery = cfg.ProgressEvery
-		res, err := core.MineContext(ctx, d, label, mc)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("rcbt: mining class %s: %w", d.ClassNames[cls], err)
-		}
-		perClass[cls] = res
+	perClass, err := mineClasses(ctx, d, cfg, classCount)
+	if err != nil {
+		return nil, err
 	}
 
 	c := &Classifier{
@@ -281,6 +262,83 @@ func TrainContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Classif
 		c.def = best
 	}
 	return c, nil
+}
+
+// mineClasses mines the top-k covering rule groups of every non-empty
+// class, up to cfg.Workers classes at once, and returns them indexed by
+// class. Each class writes only its own slot, so the result does not
+// depend on the worker count. The first error cancels the classes
+// still mining; a cancelled or expired ctx is returned as ctx.Err().
+func mineClasses(ctx context.Context, d *dataset.Dataset, cfg Config, classCount []int) ([]*core.Result, error) {
+	perClass := make([]*core.Result, d.NumClasses())
+	var classes []int
+	for cls, n := range classCount {
+		if n > 0 {
+			classes = append(classes, cls)
+		}
+	}
+	// Warm the dataset's lazily built item index before fanning out:
+	// Dataset.ItemRows is not synchronized.
+	if d.NumItems() > 0 {
+		d.ItemRows(0)
+	}
+	progress := cfg.Progress
+	if progress != nil {
+		// One mutex keeps ProgressFunc's never-concurrent promise across
+		// classes mined at once.
+		var mu sync.Mutex
+		progress = func(p engine.ProgressSnapshot) {
+			mu.Lock()
+			defer mu.Unlock()
+			cfg.Progress(p)
+		}
+	}
+	mctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	for w := 0; w < min(max(cfg.Workers, 1), len(classes)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(classes) || mctx.Err() != nil {
+					return
+				}
+				cls := classes[i]
+				minsup := int(cfg.MinsupFrac * float64(classCount[cls]))
+				if float64(minsup) < cfg.MinsupFrac*float64(classCount[cls]) {
+					minsup++
+				}
+				mc := core.DefaultConfig(max(minsup, 1), cfg.K)
+				mc.MaxNodes = cfg.MaxNodes
+				mc.Progress = progress
+				mc.ProgressEvery = cfg.ProgressEvery
+				res, err := core.MineContext(mctx, d, dataset.Label(cls), mc)
+				if err != nil {
+					errOnce.Do(func() {
+						firstErr = fmt.Errorf("rcbt: mining class %s: %w", d.ClassNames[cls], err)
+						cancel()
+					})
+					return
+				}
+				perClass[cls] = res
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return perClass, nil
 }
 
 // score is S(γ) = conf · sup / d_c.

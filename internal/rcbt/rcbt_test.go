@@ -3,13 +3,18 @@ package rcbt
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
+	"repro/internal/engine"
 	"repro/internal/rules"
 	"repro/internal/synth"
 )
@@ -288,5 +293,163 @@ func TestLoadRejectsMalformedModels(t *testing.T) {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: malformed model must be rejected", name)
 		}
+	}
+}
+
+// pcProfile discretizes the training split of the PC synth profile at
+// scale 15: 102 rows, two classes that both yield rule groups.
+func pcProfile(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	train, _, err := synth.Generate(synth.Scaled(synth.PC(), 15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dz, err := discretize.FitMatrix(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dz.Transform(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestTrainContextDeterministicAcrossWorkers trains the same data with
+// one, two and eight classes mined at once: the classifiers must be
+// deep-equal, because every class is an independent run that writes
+// only its own result slot. Each run gets a fresh copy of the dataset,
+// so its lazily built item index is built by that run.
+func TestTrainContextDeterministicAcrossWorkers(t *testing.T) {
+	fig1, _ := dataset.RunningExample()
+	pc := pcProfile(t)
+	for _, tc := range []struct {
+		name string
+		d    *dataset.Dataset
+		cfg  Config
+	}{
+		{"figure1", fig1, Config{K: 3, NL: 5, MinsupFrac: 0.5}},
+		{"pc15", pc, Config{}},
+	} {
+		ref, err := mineClasses(context.Background(), tc.d, tc.cfg.withDefaults(), classCounts(tc.d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cls, res := range ref {
+			if res == nil || len(res.Groups) == 0 {
+				t.Fatalf("%s: class %d yields no groups; the data no longer exercises both classes", tc.name, cls)
+			}
+		}
+		fresh := func() *dataset.Dataset {
+			return &dataset.Dataset{Items: tc.d.Items, Rows: tc.d.Rows, Labels: tc.d.Labels, ClassNames: tc.d.ClassNames}
+		}
+		cfg := tc.cfg
+		cfg.Workers = 1
+		want, err := TrainContext(context.Background(), fresh(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 8} {
+			cfg.Workers = workers
+			got, err := TrainContext(context.Background(), fresh(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Workers=%d classifier differs from Workers=1", tc.name, workers)
+			}
+		}
+	}
+}
+
+// classCounts returns the training rows per class.
+func classCounts(d *dataset.Dataset) []int {
+	n := make([]int, d.NumClasses())
+	for _, l := range d.Labels {
+		n[l]++
+	}
+	return n
+}
+
+// denseDataset builds a two-class table with ~2/3 density and
+// alternating labels.
+func denseDataset(rows, items int) *dataset.Dataset {
+	r := rand.New(rand.NewSource(3))
+	d := &dataset.Dataset{ClassNames: []string{"C", "notC"}}
+	for i := 0; i < items; i++ {
+		d.Items = append(d.Items, dataset.Item{Gene: i, GeneName: "g"})
+	}
+	for row := 0; row < rows; row++ {
+		var its []int
+		for i := 0; i < items; i++ {
+			if r.Intn(3) != 0 {
+				its = append(its, i)
+			}
+		}
+		d.Rows = append(d.Rows, its)
+		d.Labels = append(d.Labels, dataset.Label(row%2))
+	}
+	return d
+}
+
+// TestTrainContextCancelWhileClassesMine cancels once both classes have
+// entered their first node: every class run must stop at its next node
+// entry and TrainContext must return ctx.Err() promptly.
+func TestTrainContextCancelWhileClassesMine(t *testing.T) {
+	d := denseDataset(100, 200)
+	// The timeout only bounds a broken run: mining one class of this
+	// table takes well over 10 s, so classes mined one at a time never
+	// both start, and the run ends in DeadlineExceeded, not Canceled.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var started int
+	var cancelledAt time.Time
+	cfg := Config{K: 20, NL: 3, MinsupFrac: 0.1, Workers: 2, ProgressEvery: 1,
+		Progress: func(p engine.ProgressSnapshot) {
+			// Each class run's first node emits the snapshot Nodes == 1.
+			if p.Nodes == 1 {
+				if started++; started == 2 {
+					cancelledAt = time.Now()
+					cancel()
+				}
+			}
+		}}
+	c, err := TrainContext(ctx, d, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if c != nil {
+		t.Fatal("cancelled training must not return a classifier")
+	}
+	if started != 2 {
+		t.Fatalf("%d class runs started before the cancel, want 2", started)
+	}
+	if took := time.Since(cancelledAt); took > 2*time.Second {
+		t.Fatalf("TrainContext returned %v after the cancel, want prompt", took)
+	}
+}
+
+// TestTrainContextProgressNeverConcurrent mines both classes at once
+// with a snapshot at every node and counts hook calls in flight: the
+// count must never exceed one (run it under -race).
+func TestTrainContextProgressNeverConcurrent(t *testing.T) {
+	var inFlight, overlaps, calls atomic.Int32
+	cfg := Config{Workers: 2, ProgressEvery: 1,
+		Progress: func(engine.ProgressSnapshot) {
+			if inFlight.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			calls.Add(1)
+			runtime.Gosched() // widen the window for an overlapping call
+			inFlight.Add(-1)
+		}}
+	if _, err := TrainContext(context.Background(), pcProfile(t), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() == 0 {
+		t.Fatal("progress hook never ran")
+	}
+	if n := overlaps.Load(); n > 0 {
+		t.Fatalf("%d of %d progress calls overlapped another call", n, calls.Load())
 	}
 }

@@ -230,15 +230,6 @@ func NewTopKList(k int) *TopKList {
 // K returns the list's capacity.
 func (l *TopKList) K() int { return l.k }
 
-// Clone returns an independent list with the same capacity and
-// contents. The groups themselves are shared (they are immutable once
-// inserted); only the list structure is copied, so the clone can evolve
-// separately — parallel mining workers clone the per-row lists as their
-// private scratch state.
-func (l *TopKList) Clone() *TopKList {
-	return &TopKList{k: l.k, groups: append([]*Group(nil), l.groups...)}
-}
-
 // Groups returns the current contents, most significant first. The
 // returned slice is the internal one; callers must not mutate it.
 func (l *TopKList) Groups() []*Group { return l.groups }

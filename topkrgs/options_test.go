@@ -3,22 +3,11 @@ package topkrgs_test
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/topkrgs"
-
-	// Register every miner adapter so TestEngineWorkerValidation sweeps
-	// the full registry.
-	_ "repro/internal/carpenter"
-	_ "repro/internal/charm"
-	_ "repro/internal/closet"
-	_ "repro/internal/core"
-	_ "repro/internal/farmer"
-	_ "repro/internal/hybrid"
 )
 
 func TestMineOptionSentinels(t *testing.T) {
@@ -34,42 +23,12 @@ func TestMineOptionSentinels(t *testing.T) {
 		"negative minsup":   {d, topkrgs.MineOptions{Minsup: -2}, topkrgs.ErrBadMinsup},
 		"class too large":   {d, topkrgs.MineOptions{Class: 9}, topkrgs.ErrBadClass},
 		"negative class":    {d, topkrgs.MineOptions{Class: -1}, topkrgs.ErrBadClass},
-		"negative workers":  {d, topkrgs.MineOptions{Workers: -2}, topkrgs.ErrBadOption},
 		"negative maxnodes": {d, topkrgs.MineOptions{MaxNodes: -1}, topkrgs.ErrBadOption},
 		"negative timeout":  {d, topkrgs.MineOptions{Timeout: -time.Second}, topkrgs.ErrBadOption},
 		"negative stride":   {d, topkrgs.MineOptions{ProgressEvery: -1}, topkrgs.ErrBadOption},
 	} {
 		if _, err := topkrgs.Mine(ctx, tc.d, tc.opts); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
-		}
-	}
-}
-
-// TestEngineWorkerValidation pins the engine-level sentinel behind the
-// facade check: every registered miner rejects a negative worker count
-// with an error wrapping engine.ErrBadWorkers before touching the data.
-func TestEngineWorkerValidation(t *testing.T) {
-	err := engine.Options{Workers: -3}.Validate()
-	if !errors.Is(err, engine.ErrBadWorkers) {
-		t.Fatalf("Validate(Workers:-3) = %v, want ErrBadWorkers", err)
-	}
-	if err == engine.ErrBadWorkers {
-		t.Fatal("Validate must wrap ErrBadWorkers with context, not return it bare")
-	}
-	d, _ := dataset.RunningExample()
-	for _, name := range engine.Miners() {
-		m, ok := engine.Lookup(name)
-		if !ok {
-			t.Fatalf("registered miner %q not found", name)
-		}
-		_, _, err := m.Mine(context.Background(), d, engine.Options{Minsup: 2, K: 1, Workers: -3})
-		if !errors.Is(err, engine.ErrBadWorkers) {
-			t.Errorf("%s: Mine(Workers:-3) err = %v, want ErrBadWorkers", name, err)
-		}
-	}
-	for _, ok := range []int{0, 1, 8} {
-		if err := (engine.Options{Workers: ok}).Validate(); err != nil {
-			t.Errorf("Validate(Workers:%d) = %v, want nil", ok, err)
 		}
 	}
 }
@@ -115,25 +74,6 @@ func TestMineProgress(t *testing.T) {
 	}
 	if last.BudgetRemaining != -1 {
 		t.Fatalf("unbounded run: BudgetRemaining = %d, want -1", last.BudgetRemaining)
-	}
-}
-
-// TestMineDeterministicAcrossWorkers asserts the facade's parallel
-// path returns the same result as the sequential one.
-func TestMineDeterministicAcrossWorkers(t *testing.T) {
-	d, _ := dataset.RunningExample()
-	seq, err := topkrgs.Mine(context.Background(), d,
-		topkrgs.MineOptions{Minsup: 2, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := topkrgs.Mine(context.Background(), d,
-		topkrgs.MineOptions{Minsup: 2, K: 2, Workers: topkrgs.AllCores})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.PerRow, par.PerRow) {
-		t.Fatal("parallel facade mine differs from sequential")
 	}
 }
 

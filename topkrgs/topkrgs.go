@@ -98,7 +98,7 @@ var (
 	// ErrBadMinsup is returned when MineOptions.Minsup is negative.
 	ErrBadMinsup = errors.New("topkrgs: Minsup must be >= 1")
 	// ErrBadOption is returned for out-of-range tuning fields (negative
-	// Workers, MaxNodes or Timeout).
+	// MaxNodes, Timeout or ProgressEvery).
 	ErrBadOption = errors.New("topkrgs: invalid option")
 )
 
@@ -117,7 +117,7 @@ func LoadDiscretizer(r io.Reader) (*Discretizer, error) { return discretize.Read
 
 // MineOptions configures Mine. The zero value mines the paper's
 // defaults for class 0: top-10 covering rule groups per row at a
-// minimum support of 70% of the consequent class, sequentially.
+// minimum support of 70% of the consequent class.
 type MineOptions struct {
 	// Class is the consequent class the rule groups predict (default 0).
 	Class Label
@@ -128,13 +128,6 @@ type MineOptions struct {
 	// K is the number of covering rule groups kept per row (0 = 10, the
 	// paper's setting).
 	K int
-	// Workers sets the enumeration worker count: 1 (and 0) runs
-	// sequentially; N > 1 mines on N work-stealing goroutines that
-	// split subtrees adaptively (idle workers steal queued subtrees,
-	// busy runs stay inline) while a streaming merge replays results in
-	// sequential order; AllCores uses every CPU. Parallel output is
-	// deterministically identical to sequential at every worker count.
-	Workers int
 	// MaxNodes caps enumeration nodes (0 = unbounded); when exceeded
 	// the run returns its partial result with Stats.Aborted set.
 	MaxNodes int
@@ -143,18 +136,14 @@ type MineOptions struct {
 	Timeout time.Duration
 	// Progress, when non-nil, receives periodic snapshots of the
 	// enumeration (node and group counts, current dynamic confidence
-	// floor, budget remaining). Calls are serialized but may come from
-	// any worker goroutine; a slow hook stalls the emitting worker. The
-	// hook adds no steady-state allocations to the kernel.
+	// floor, budget remaining). Calls are serialized and come from the
+	// mining goroutine; a slow hook stalls the search. The hook adds no
+	// steady-state allocations to the kernel.
 	Progress ProgressFunc
 	// ProgressEvery is the node stride between snapshots (0 = the
 	// engine default of 4096).
 	ProgressEvery int
 }
-
-// AllCores is the MineOptions.Workers value that runs one enumeration
-// worker per CPU core.
-const AllCores = -1
 
 // Validate reports the first invalid field as an error wrapping one of
 // the exported sentinels. It does not need the dataset; Class range
@@ -165,9 +154,6 @@ func (o MineOptions) Validate() error {
 	}
 	if o.Minsup < 0 {
 		return fmt.Errorf("%w (got %d)", ErrBadMinsup, o.Minsup)
-	}
-	if o.Workers < 0 && o.Workers != AllCores {
-		return fmt.Errorf("%w: Workers %d", ErrBadOption, o.Workers)
 	}
 	if o.MaxNodes < 0 {
 		return fmt.Errorf("%w: MaxNodes %d", ErrBadOption, o.MaxNodes)
@@ -213,14 +199,6 @@ func Mine(ctx context.Context, d *Dataset, opts MineOptions) (*MiningResult, err
 		defer cancel()
 	}
 	cfg := core.DefaultConfig(opts.Minsup, opts.K)
-	switch opts.Workers {
-	case AllCores:
-		cfg.Workers = (engine.Options{}).EffectiveWorkers()
-	case 0:
-		cfg.Workers = 1
-	default:
-		cfg.Workers = opts.Workers
-	}
 	cfg.MaxNodes = opts.MaxNodes
 	cfg.Progress = opts.Progress
 	cfg.ProgressEvery = opts.ProgressEvery
