@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet analyze analyze-json test race bench perf loadbench refreshbench experiments fuzz serve clean
+.PHONY: all build vet analyze analyze-json test race bench perf loadbench experiments fuzz serve clean
 
 all: build vet analyze test
 
@@ -51,14 +51,6 @@ perf:
 # change, like `make perf` for the mining kernel.
 loadbench:
 	$(GO) run ./cmd/loadgen -scale 30 -requests 200 -concurrency 4 -qps 200 -gate 1.5
-
-# Streaming ingestion trajectory: per-append wall time of the
-# datastore's incremental snapshot refresh vs a from-scratch
-# discretize+transform of the same matrix, archived as
-# BENCH_refresh.json. Compare the JSON against the checked-in copy to
-# judge an ingestion-path change.
-refreshbench:
-	$(GO) run ./cmd/benchrunner -exp refresh -scale 4 -refresh-chunks 8
 
 # Paper-scale regeneration of every table and figure into results/.
 experiments:

@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	benchrunner -exp table1|fig6|fig6e|table2|fig7|fig8|defaultclass|minsupsweep|groupcount|topgenes|ablation|perf|refresh|all [-scale N] [-json FILE]
+//	benchrunner -exp table1|fig6|fig6e|table2|fig7|fig8|defaultclass|minsupsweep|groupcount|topgenes|ablation|perf|all [-scale N] [-json FILE]
 //
 // -scale divides the profiles' gene counts (1 = paper scale; larger is
 // faster); -timeout bounds the whole run via context cancellation.
 // Output goes to stdout in paper-style rows. -json also archives an
-// experiment's structured results; perf and refresh always archive,
-// by default to BENCH_fig6.json and BENCH_refresh.json.
+// experiment's structured results; perf always archives, by default to
+// BENCH_fig6.json.
 package main
 
 import (
@@ -28,16 +28,15 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig6, fig6e, table2, fig7, fig8, defaultclass, minsupsweep, groupcount, topgenes, ablation, perf, refresh, all")
+	exp := flag.String("exp", "all", "experiment: table1, fig6, fig6e, table2, fig7, fig8, defaultclass, minsupsweep, groupcount, topgenes, ablation, perf, all")
 	scale := flag.Int("scale", 1, "gene-count divisor (1 = paper scale)")
 	budget := flag.Int("budget", 3_000_000, "baseline node budget before DNF")
 	topkBudget := flag.Int("topkbudget", 0, "optional MineTopkRGS node budget in fig6 (0 = unbounded)")
 	noColumn := flag.Bool("nocolumn", false, "skip CHARM/CLOSET+ in fig6")
 	datasets := flag.String("datasets", "", "comma-separated dataset filter for fig6 (e.g. ALL,LC)")
 	minsups := flag.String("minsups", "", "comma-separated relative supports for fig6 (e.g. 0.95,0.9)")
-	jsonOut := flag.String("json", "", "also write the experiment's structured results as JSON to this file (perf and refresh default to their BENCH_*.json archive)")
+	jsonOut := flag.String("json", "", "also write the experiment's structured results as JSON to this file (perf defaults to its BENCH_fig6.json archive)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-	refreshChunks := flag.Int("refresh-chunks", 8, "for -exp refresh: number of append batches replayed")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
@@ -214,13 +213,5 @@ func main() {
 		// The trajectory is archived across PRs (it measures the fig6 PC
 		// profile).
 		return writeJSON(pts, "BENCH_fig6.json")
-	})
-	run("refresh", func() error {
-		pts, err := bench.RefreshBench(ctx, w, *scale, *refreshChunks)
-		if err != nil {
-			return err
-		}
-		// The sweep is archived across PRs next to the serving points.
-		return writeJSON(pts, "BENCH_refresh.json")
 	})
 }

@@ -41,21 +41,18 @@
 // -data-dir also enables streaming ingestion: datasets created over
 // POST /v1/datasets persist as immutable versioned snapshots under
 // <dir>/datasets and survive restarts. Appending rows mints a new
-// version via an incremental refresh (only genes whose entropy-MDL
-// cuts changed are re-discretized) and, after -refresh-after of
-// quiet, re-trains and hot-swaps the dataset's model with zero
-// downtime. Job submissions reference "{name}" for the latest version
-// or "{name}@{v}" to pin one; -keep-versions bounds how many snapshot
-// versions are retained per dataset (0 = all; a pinned reference to a
-// pruned version answers 409).
+// version, rebuilt from scratch (entropy-MDL cuts refit, rows
+// re-discretized), and, after -refresh-after of quiet, re-trains and
+// hot-swaps the dataset's model with zero downtime. Job submissions
+// reference "{name}" for the latest version or "{name}@{v}" to pin
+// one; -keep-versions bounds how many snapshot versions are retained
+// per dataset (0 = all; a pinned reference to a pruned version answers
+// 409).
 //
-// -peers turns the process into a cluster node. It names the other
-// replicas' base URLs and enables two things: mine jobs submitted with
-// {"miner": "cluster"} are coordinated across the peers — each peer
-// mines column partitions through its own /v1/jobs surface, and the
-// merged result is identical to single-node mining — and a model
-// lookup that misses locally is pulled from the first peer that has
-// it, so any replica serves any model wherever its train job ran.
+// -peers names other replicas' base URLs for model replication: a
+// model lookup that misses locally is pulled from the first peer that
+// has it, so any replica serves any model wherever its train job ran.
+// Mining always runs on the node that received the job.
 //
 // The bound address is printed on startup (useful with -addr :0).
 // SIGINT/SIGTERM shut down in order: stop accepting job submissions
@@ -79,11 +76,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/datastore"
 	"repro/internal/discretize"
-	"repro/internal/engine"
 	"repro/internal/jobs"
 	"repro/internal/rcbt"
 	"repro/internal/serve"
@@ -129,7 +124,7 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "default per-job deadline (0 = unbounded)")
 	refreshAfter := flag.Duration("refresh-after", serve.DefaultRefreshAfter, "quiet period after an append before auto re-train (negative disables)")
 	keepVersions := flag.Int("keep-versions", 0, "snapshot versions retained per streaming dataset (0 = all)")
-	peersFlag := flag.String("peers", "", "comma-separated replica base URLs; enables cluster mining and model replication")
+	peersFlag := flag.String("peers", "", "comma-separated replica base URLs to pull models from on a local miss")
 	flag.Parse()
 
 	if len(models) == 0 && *dataDir == "" {
@@ -149,11 +144,7 @@ func main() {
 		}
 	}
 	if len(peers) > 0 {
-		// A coordinator is just a node with a cluster miner registered:
-		// mine jobs submitted here with {"miner": "cluster"} fan out to
-		// the peers' own /v1/jobs surfaces.
-		engine.Register(cluster.New(cluster.Config{Peers: peers, Logger: logger}))
-		logger.Info("cluster mode", "peers", peers)
+		logger.Info("model replication", "peers", peers)
 	}
 
 	loaded := make(map[string]*rcbt.Model, len(models))

@@ -49,11 +49,9 @@ type Config struct {
 	MaxNodes int
 	// MinConf, when positive, is a static minimum-confidence floor: rule
 	// groups with confidence strictly below it are discarded, and the
-	// dynamic top-k threshold never drops below (MinConf, 0). Callers
-	// must guarantee that no group of the final top-k lists can fall
-	// strictly below the floor (e.g. a cluster coordinator whose merged
-	// lists are already full at or above it) — otherwise lists come back
-	// short. Groups tied with the floor are kept.
+	// dynamic top-k threshold never drops below (MinConf, 0), so a row
+	// with fewer than k groups at or above the floor gets a short list.
+	// Groups tied with the floor are kept.
 	MinConf float64
 	// Workers is ignored: every run enumerates on the calling
 	// goroutine.

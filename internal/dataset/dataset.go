@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/bitset"
 )
@@ -133,7 +134,11 @@ type Dataset struct {
 	Labels     []Label
 	ClassNames []string
 
-	itemRows []*bitset.Set // lazily built: itemRows[i] = rows containing item i
+	// itemRows[i] is the set of rows containing item i, built once on
+	// first use by buildIndex; indexOnce makes that first use safe from
+	// concurrent goroutines (jobs sharing one dataset).
+	indexOnce sync.Once
+	itemRows  []*bitset.Set
 }
 
 // NumRows returns the number of rows (samples).
@@ -189,10 +194,9 @@ func (d *Dataset) buildIndex() {
 
 // ItemRows returns the set of rows containing item i (the item support
 // set R({i})). The returned set is shared; callers must not mutate it.
+// It is safe for concurrent use: the first call builds the index.
 func (d *Dataset) ItemRows(i int) *bitset.Set {
-	if d.itemRows == nil {
-		d.buildIndex()
-	}
+	d.indexOnce.Do(d.buildIndex)
 	return d.itemRows[i]
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -35,6 +36,40 @@ func TestItemSupportSetsMatchFigure1b(t *testing.T) {
 		got := d.ItemRows(idx[name]).Indices()
 		if !reflect.DeepEqual(got, rows) {
 			t.Errorf("R(%s) = %v, want %v", name, got, rows)
+		}
+	}
+}
+
+// TestItemRowsConcurrentFirstUse has several goroutines make the first
+// ItemRows calls on one dataset at once, as concurrent jobs sharing a
+// dataset do; under -race the lazy index build must not race, and
+// every goroutine must see the same sets.
+func TestItemRowsConcurrentFirstUse(t *testing.T) {
+	const goroutines = 8
+	ref, _ := RunningExample()
+	want := make([][]int, ref.NumItems())
+	for i := range want {
+		want[i] = ref.ItemRows(i).Indices()
+	}
+
+	d, _ := RunningExample()
+	got := make([][][]int, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sets := make([][]int, d.NumItems())
+			for i := range sets {
+				sets[i] = d.ItemRows(i).Indices()
+			}
+			got[g] = sets
+		}(g)
+	}
+	wg.Wait()
+	for g, sets := range got {
+		if !reflect.DeepEqual(sets, want) {
+			t.Fatalf("goroutine %d saw item sets %v, want %v", g, sets, want)
 		}
 	}
 }

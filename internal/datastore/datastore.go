@@ -7,16 +7,10 @@
 // version; a torn write from a crash mid-append is at worst a stray
 // .tmp file that recovery deletes.
 //
-// Appends run the incremental refresh pipeline (refresh.go): cut
-// points are refit on the grown matrix, but only genes whose
-// Fayyad–Irani cuts actually changed have their item columns
-// recomputed — unchanged genes reuse the previous snapshot's
-// row→interval columns, and when no gene changed at all the previous
-// dataset and its transposed bitset index are extended in place-free
-// fashion via dataset.AppendRows. The refreshed snapshot is guaranteed
-// to deep-equal a from-scratch FitMatrix+Transform on the same data
-// (the oracle the tests enforce), so models re-trained on it are
-// indistinguishable from full retrains.
+// Every version is built from scratch: an append refits the
+// Fayyad–Irani cut points and re-transforms the grown matrix, exactly
+// as Create does for version 1. Models re-trained on a refreshed
+// snapshot are therefore the models a full retrain would produce.
 //
 // See DESIGN.md §12 for the snapshot format and refresh semantics.
 package datastore
@@ -103,13 +97,8 @@ type Snapshot struct {
 	Dataset     *dataset.Dataset
 
 	// Refresh describes how this snapshot was built from its
-	// predecessor (zero for version 1 and recovered snapshots).
+	// predecessor (zero for version 1).
 	Refresh RefreshStats
-
-	// cols[g] is gene g's row→interval-index column (nil for genes
-	// MDL dropped). Kept only on the latest version of each dataset;
-	// it is the reuse substrate of the next incremental refresh.
-	cols [][]int32
 }
 
 // Open creates dir if needed and recovers every dataset found under it
@@ -191,9 +180,9 @@ func (s *Store) dropSet(name string) {
 	s.mu.Unlock()
 }
 
-// Append adds rows to a dataset, producing and persisting the next
-// snapshot version via the incremental refresh pipeline. At least one
-// row is required (an empty append would mint an identical version).
+// Append adds rows to a dataset, building the next snapshot version
+// from scratch and persisting it. At least one row is required (an
+// empty append would mint an identical version).
 func (s *Store) Append(name string, values [][]float64, labels []dataset.Label) (*Snapshot, error) {
 	if len(values) == 0 {
 		return nil, bad("append needs at least one row")
@@ -218,16 +207,21 @@ func (s *Store) Append(name string, values [][]float64, labels []dataset.Label) 
 		return nil, bad("%v", err)
 	}
 
-	snap, err := buildIncremental(old, m, len(values))
+	start := time.Now()
+	snap, err := buildFull(name, old.Version+1, m)
 	if err != nil {
 		return nil, err
+	}
+	snap.Refresh = RefreshStats{
+		AppendedRows: len(values),
+		ChangedGenes: len(discretize.DiffCuts(old.Discretizer.Cuts, snap.Discretizer.Cuts)),
+		BuildNanos:   time.Since(start).Nanoseconds(),
 	}
 	if err := s.persist(snap); err != nil {
 		return nil, err
 	}
 	st.latest = snap.Version
 	st.versions[snap.Version] = snap
-	old.cols = nil // reuse substrate lives on the latest version only
 	s.prune(st)
 	return snap, nil
 }

@@ -2,10 +2,12 @@ package datastore
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -38,7 +40,7 @@ func openStore(t *testing.T, dir string, keep int) *Store {
 	return s
 }
 
-// assertOracle checks the incremental snapshot against a from-scratch
+// assertOracle checks a store-built snapshot against a from-scratch
 // fit+transform of the same matrix: identical cuts, identical dataset.
 func assertOracle(t *testing.T, snap *Snapshot) {
 	t.Helper()
@@ -138,18 +140,15 @@ func TestCreateValidation(t *testing.T) {
 	}
 }
 
-// TestAppendFastPath appends rows that leave every gene's cuts intact
-// and asserts the refresh took the AppendRows fast path while still
-// matching the oracle.
-func TestAppendFastPath(t *testing.T) {
+// TestAppendCutsUnchanged appends rows that leave every gene's cuts
+// intact and asserts the refresh stats and the oracle.
+func TestAppendCutsUnchanged(t *testing.T) {
 	s := openStore(t, t.TempDir(), 0)
 	m := sepMatrix(t)
 	snap, err := s.Create("d", m.ClassNames, m.GeneNames, m.Values, m.Labels)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	// Force the v1 index so the fast path exercises incremental growth.
-	snap.Dataset.ItemRows(0)
 
 	// Values interior to existing intervals: g0's midpoint cut (4+10)/2=7
 	// is unmoved by another 2 on the left and 12 on the right.
@@ -159,9 +158,6 @@ func TestAppendFastPath(t *testing.T) {
 	}
 	if snap2.Version != 2 {
 		t.Fatalf("append produced v%d, want v2", snap2.Version)
-	}
-	if !snap2.Refresh.FastPath {
-		t.Fatalf("expected fast path, got %+v", snap2.Refresh)
 	}
 	if snap2.Refresh.AppendedRows != 2 || snap2.Refresh.ChangedGenes != 0 {
 		t.Fatalf("refresh stats %+v", snap2.Refresh)
@@ -173,8 +169,8 @@ func TestAppendFastPath(t *testing.T) {
 	}
 }
 
-// TestAppendCutChange appends a row that moves a cut point and asserts
-// the merge path (changed gene rebuilt, unchanged gene reused).
+// TestAppendCutChange appends a row that moves one gene's cut point
+// and asserts the changed-gene count and the oracle.
 func TestAppendCutChange(t *testing.T) {
 	s := openStore(t, t.TempDir(), 0)
 	// Two separated genes with different boundaries.
@@ -192,16 +188,13 @@ func TestAppendCutChange(t *testing.T) {
 	}
 	// g0 value 6 (class a) moves its boundary midpoint from (4+10)/2=7
 	// to (6+10)/2=8; g1 value 103 duplicates an existing value, so its
-	// midpoint stays (103+200)/2=151.5 and g1's column is reused.
+	// midpoint stays (103+200)/2=151.5.
 	snap, err := s.Append("d", [][]float64{{6, 103}}, []dataset.Label{0})
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if snap.Refresh.FastPath {
-		t.Fatalf("expected merge path, got %+v", snap.Refresh)
-	}
-	if snap.Refresh.ChangedGenes != 1 || snap.Refresh.ReusedGenes != 1 {
-		t.Fatalf("refresh stats %+v, want 1 changed / 1 reused", snap.Refresh)
+	if snap.Refresh.ChangedGenes != 1 {
+		t.Fatalf("refresh stats %+v, want 1 changed gene", snap.Refresh)
 	}
 	assertOracle(t, snap)
 }
@@ -310,8 +303,7 @@ func TestRecovery(t *testing.T) {
 	if vs, err := s2.Versions("d"); err != nil || !reflect.DeepEqual(vs, []int{1, 2}) {
 		t.Fatalf("recovered versions %v (%v), want [1 2]", vs, err)
 	}
-	// And appends keep working from the recovered state (exercises
-	// ensureCols on a snapshot recovered without interval columns).
+	// And appends keep working from the recovered state.
 	snap3, err := s2.Append("d", [][]float64{{5, 2}}, []dataset.Label{1})
 	if err != nil {
 		t.Fatalf("append after recovery: %v", err)
@@ -368,6 +360,173 @@ func TestCrashMidAppendRecovery(t *testing.T) {
 	s3 := openStore(t, dir, 0)
 	if got, err := s3.Get("d"); err != nil || got.Version != 3 {
 		t.Fatalf("re-recovered %v v%d, want v3", err, got.Version)
+	}
+}
+
+// TestRecoverLegacySnapshot recovers a schema-1 snapshot written while
+// appends could still skip the from-scratch rebuild, and appends to it.
+// The file (testdata/legacy-v000002.json) is sepMatrix plus two
+// appended rows; its refresh object carries a key this version no
+// longer writes and a set fastPath flag.
+func TestRecoverLegacySnapshot(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-v000002.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "d"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "d", "v000002.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openStore(t, dir, 0)
+	got, err := s.Get("d")
+	if err != nil {
+		t.Fatalf("recovered Get: %v", err)
+	}
+	if got.Version != 2 {
+		t.Fatalf("recovered v%d, want v2", got.Version)
+	}
+	m := sepMatrix(t)
+	wantValues := append(m.Values, []float64{2, 8}, []float64{12, 3})
+	wantLabels := append(m.Labels, 0, 1)
+	if !reflect.DeepEqual(got.Matrix.Values, wantValues) || !reflect.DeepEqual(got.Matrix.Labels, wantLabels) {
+		t.Fatalf("recovered matrix %v %v, want %v %v",
+			got.Matrix.Values, got.Matrix.Labels, wantValues, wantLabels)
+	}
+	if want := [][]float64{{7}, nil}; !reflect.DeepEqual(got.Discretizer.Cuts, want) {
+		t.Fatalf("recovered cuts %v, want %v", got.Discretizer.Cuts, want)
+	}
+	// g0 splits at 7 into items 0 ([-inf,7)) and 1 ([7,+inf)); g1 has
+	// no cut and no items.
+	wantRows := [][]int{{0}, {0}, {0}, {0}, {1}, {1}, {1}, {1}, {0}, {1}}
+	if !reflect.DeepEqual(got.Dataset.Rows, wantRows) {
+		t.Fatalf("recovered rows %v, want %v", got.Dataset.Rows, wantRows)
+	}
+	assertOracle(t, got)
+	if got.Refresh.AppendedRows != 2 || got.Refresh.BuildNanos != 21289 {
+		t.Fatalf("recovered refresh stats %+v", got.Refresh)
+	}
+
+	snap, err := s.Append("d", [][]float64{{6, 1}}, []dataset.Label{0})
+	if err != nil {
+		t.Fatalf("append after legacy recovery: %v", err)
+	}
+	if snap.Version != 3 {
+		t.Fatalf("append produced v%d, want v3", snap.Version)
+	}
+	assertOracle(t, snap)
+}
+
+// TestConcurrentAppendsAndReads drives one dataset from several
+// goroutines, as the HTTP layer does: appenders each add one row while
+// readers resolve pinned and latest versions and read their item
+// index. Versions must come out gapless, each holding its
+// predecessor's rows plus one, and every version must match the
+// oracle.
+func TestConcurrentAppendsAndReads(t *testing.T) {
+	const appenders, readers = 12, 4
+	s := openStore(t, t.TempDir(), 0)
+	m := sepMatrix(t)
+	if _, err := s.Create("d", m.ClassNames, m.GeneNames, m.Values, m.Labels); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	base := m.NumRows()
+
+	done := make(chan struct{})
+	var rwg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		rwg.Add(1)
+		go func(seed int64) {
+			defer rwg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				latest, err := s.Get("d")
+				if err != nil {
+					t.Errorf("Get: %v", err)
+					return
+				}
+				if n := latest.Matrix.NumRows(); n != base+latest.Version-1 {
+					t.Errorf("latest v%d has %d rows, want %d", latest.Version, n, base+latest.Version-1)
+					return
+				}
+				v := 1 + rng.Intn(latest.Version)
+				snap, err := s.Resolve(fmt.Sprintf("d@%d", v))
+				if err != nil {
+					t.Errorf("Resolve d@%d: %v", v, err)
+					return
+				}
+				if snap.Version != v || snap.Matrix.NumRows() != base+v-1 {
+					t.Errorf("d@%d resolved to v%d with %d rows", v, snap.Version, snap.Matrix.NumRows())
+					return
+				}
+				// Snapshots are shared; their item index is built on
+				// first use, possibly by several readers at once.
+				for i := 0; i < snap.Dataset.NumItems(); i++ {
+					snap.Dataset.ItemRows(i)
+				}
+			}
+		}(int64(i))
+	}
+
+	var awg sync.WaitGroup
+	for i := 0; i < appenders; i++ {
+		awg.Add(1)
+		go func(i int) {
+			defer awg.Done()
+			// g1 carries a value unique to this appender, so the final
+			// matrix shows whether every row landed exactly once.
+			row := []float64{float64(1 + i%13), float64(100 + i)}
+			if _, err := s.Append("d", [][]float64{row}, []dataset.Label{dataset.Label(i % 2)}); err != nil {
+				t.Errorf("append %d: %v", i, err)
+			}
+		}(i)
+	}
+	awg.Wait()
+	close(done)
+	rwg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	vs, err := s.Versions("d")
+	if err != nil {
+		t.Fatalf("Versions: %v", err)
+	}
+	want := make([]int, appenders+1)
+	for i := range want {
+		want[i] = i + 1
+	}
+	if !reflect.DeepEqual(vs, want) {
+		t.Fatalf("versions %v, want %v", vs, want)
+	}
+	var prev *Snapshot
+	for _, v := range vs {
+		snap, err := s.GetVersion("d", v)
+		if err != nil {
+			t.Fatalf("GetVersion %d: %v", v, err)
+		}
+		if prev != nil && !reflect.DeepEqual(snap.Matrix.Values[:prev.Matrix.NumRows()], prev.Matrix.Values) {
+			t.Fatalf("v%d does not extend v%d", v, prev.Version)
+		}
+		assertOracle(t, snap)
+		prev = snap
+	}
+	seen := map[float64]int{}
+	for _, row := range prev.Matrix.Values[base:] {
+		seen[row[1]]++
+	}
+	for i := 0; i < appenders; i++ {
+		if seen[float64(100+i)] != 1 {
+			t.Fatalf("appended row %d present %d times in v%d", i, seen[float64(100+i)], prev.Version)
+		}
 	}
 }
 

@@ -9,30 +9,32 @@ import (
 
 // RefreshStats describes how one snapshot was built from its
 // predecessor. It is persisted in the snapshot envelope and surfaced
-// by the GET /v1/datasets endpoints so operators can see whether an
-// append took the fast path.
+// by the GET /v1/datasets endpoints so operators can see what an
+// append cost and how far it moved the discretization.
 type RefreshStats struct {
 	// AppendedRows is how many rows the append added.
 	AppendedRows int `json:"appendedRows,omitempty"`
 	// ChangedGenes counts genes whose refitted Fayyad–Irani cut points
-	// differ from the previous version's — their item columns were
-	// recomputed over every row.
+	// differ from the previous version's.
 	ChangedGenes int `json:"changedGenes,omitempty"`
-	// ReusedGenes counts retained genes whose previous row→interval
-	// column was reused (only the appended rows were discretized).
-	ReusedGenes int `json:"reusedGenes,omitempty"`
-	// FastPath marks an append that changed no gene's cuts at all: the
-	// previous dataset and its transposed bitset index were extended
-	// via dataset.AppendRows instead of being rebuilt.
+	// FastPath is never set by an append: every append rebuilds its
+	// snapshot from scratch. Only a snapshot recovered from a file
+	// written by older code can carry it.
+	//
+	// Deprecated: the incremental refresh it reported on is gone. The
+	// field stays only because the repository benchmark
+	// (benchmark/layers.go, benchmark/stream.go) still reads it; drop it
+	// together with those reads.
 	FastPath bool `json:"fastPath,omitempty"`
-	// BuildNanos is the wall time of the refresh (fit + rebuild),
-	// excluding persistence.
+	// BuildNanos is the wall time of the snapshot build (fit +
+	// transform), excluding persistence.
 	BuildNanos int64 `json:"buildNanos,omitempty"`
 }
 
-// buildFull fits and transforms a matrix from scratch — the create
-// (version 1) and oracle path. The interval columns are left nil and
-// computed lazily by the first append that needs them.
+// buildFull fits and transforms a matrix from scratch. Every version
+// is built this way: a Fayyad–Irani cut is a property of its gene's
+// whole column, so an append refits every gene anyway, and the refit
+// dominates the build.
 func buildFull(name string, version int, m *dataset.Matrix) (*Snapshot, error) {
 	dz, err := discretize.FitMatrix(m)
 	if err != nil {
@@ -50,159 +52,4 @@ func buildFull(name string, version int, m *dataset.Matrix) (*Snapshot, error) {
 		Discretizer: dz,
 		Dataset:     ds,
 	}, nil
-}
-
-// buildIncremental produces old's successor snapshot for the grown
-// matrix m (old's rows plus appended new ones). Cut points are always
-// refit — a cut is a global property of its gene's column, so no
-// append can skip the fit — but the expensive per-row discretization
-// is incremental:
-//
-//   - No gene's cuts changed (the common case for small appends): the
-//     item vocabulary is identical, so the previous dataset is extended
-//     with just the appended rows via dataset.AppendRows, which also
-//     grows the transposed bitset index instead of rebuilding it.
-//   - Some genes changed: only their columns are re-discretized over
-//     all rows; every unchanged retained gene reuses its previous
-//     row→interval column and discretizes only the appended rows. Rows
-//     are then assembled from the columns and the new vocabulary.
-//
-// Either way the result deep-equals a from-scratch Transform of m —
-// the oracle property the tests enforce.
-func buildIncremental(old *Snapshot, m *dataset.Matrix, appended int) (*Snapshot, error) {
-	start := time.Now()
-	dz, err := discretize.FitMatrix(m)
-	if err != nil {
-		return nil, err
-	}
-	changed := discretize.DiffCuts(old.Discretizer.Cuts, dz.Cuts)
-	stats := RefreshStats{AppendedRows: appended, ChangedGenes: len(changed)}
-	oldRows := old.Matrix.NumRows()
-
-	var ds *dataset.Dataset
-	var cols [][]int32
-	if len(changed) == 0 {
-		stats.FastPath = true
-		stats.ReusedGenes = dz.NumSelectedGenes()
-		rows := make([][]int, appended)
-		labels := make([]dataset.Label, appended)
-		for i := 0; i < appended; i++ {
-			rows[i] = dz.RowItems(m.Values[oldRows+i])
-			labels[i] = m.Labels[oldRows+i]
-		}
-		ds, err = old.Dataset.AppendRows(rows, labels)
-		if err != nil {
-			return nil, err
-		}
-		if old.cols != nil {
-			cols = growCols(old.cols, dz, m, oldRows)
-		}
-	} else {
-		old.ensureCols()
-		changedSet := make(map[int]bool, len(changed))
-		for _, g := range changed {
-			changedSet[g] = true
-		}
-		cols = make([][]int32, m.NumGenes())
-		for g := 0; g < m.NumGenes(); g++ {
-			if len(dz.Cuts[g]) == 0 {
-				continue // gene dropped by MDL: no items, no column
-			}
-			col := make([]int32, m.NumRows())
-			if !changedSet[g] && old.cols[g] != nil {
-				copy(col, old.cols[g])
-				for r := oldRows; r < m.NumRows(); r++ {
-					col[r] = int32(dz.IntervalIndex(g, m.Values[r][g]))
-				}
-				stats.ReusedGenes++
-			} else {
-				for r := 0; r < m.NumRows(); r++ {
-					col[r] = int32(dz.IntervalIndex(g, m.Values[r][g]))
-				}
-			}
-			cols[g] = col
-		}
-		ds = assemble(dz, m, cols)
-	}
-	stats.BuildNanos = time.Since(start).Nanoseconds()
-	return &Snapshot{
-		Name:        old.Name,
-		Version:     old.Version + 1,
-		CreatedAt:   time.Now().UTC(),
-		Matrix:      m,
-		Discretizer: dz,
-		Dataset:     ds,
-		Refresh:     stats,
-		cols:        cols,
-	}, nil
-}
-
-// ensureCols materializes the snapshot's row→interval columns when
-// they are missing (recovered snapshots, fast-path successors of
-// column-less snapshots). Called only with the owning set's lock held.
-func (s *Snapshot) ensureCols() {
-	if s.cols != nil {
-		return
-	}
-	dz, m := s.Discretizer, s.Matrix
-	s.cols = make([][]int32, m.NumGenes())
-	for g := 0; g < m.NumGenes(); g++ {
-		if len(dz.Cuts[g]) == 0 {
-			continue
-		}
-		col := make([]int32, m.NumRows())
-		for r := 0; r < m.NumRows(); r++ {
-			col[r] = int32(dz.IntervalIndex(g, m.Values[r][g]))
-		}
-		s.cols[g] = col
-	}
-}
-
-// growCols extends every retained gene's column with the appended
-// rows' interval indices. Valid only when no gene's cuts changed, so
-// the old columns' indices are still correct.
-func growCols(old [][]int32, dz *discretize.Discretizer, m *dataset.Matrix, oldRows int) [][]int32 {
-	cols := make([][]int32, len(old))
-	for g, col := range old {
-		if col == nil {
-			continue
-		}
-		nc := make([]int32, m.NumRows())
-		copy(nc, col)
-		for r := oldRows; r < m.NumRows(); r++ {
-			nc[r] = int32(dz.IntervalIndex(g, m.Values[r][g]))
-		}
-		cols[g] = nc
-	}
-	return cols
-}
-
-// assemble builds the discretized dataset from per-gene interval
-// columns, producing exactly what dz.Transform(m) would: gene item ids
-// are assigned in gene order, so appending per-gene items in ascending
-// gene order yields sorted rows.
-func assemble(dz *discretize.Discretizer, m *dataset.Matrix, cols [][]int32) *dataset.Dataset {
-	d := &dataset.Dataset{
-		Items:      dz.ItemTable(),
-		Rows:       make([][]int, m.NumRows()),
-		Labels:     append([]dataset.Label(nil), m.Labels...),
-		ClassNames: append([]string(nil), dz.ClassNames...),
-	}
-	starts := make([]int, len(cols))
-	for g := range cols {
-		if cols[g] != nil {
-			starts[g], _ = dz.GeneItemRange(g)
-		}
-	}
-	for r := range d.Rows {
-		items := make([]int, 0, dz.NumSelectedGenes())
-		for g, col := range cols {
-			if col == nil {
-				continue
-			}
-			items = append(items, starts[g]+int(col[r]))
-		}
-		d.Rows[r] = items
-	}
-	return d
 }

@@ -1,19 +1,14 @@
 package discretize
 
-import "repro/internal/dataset"
-
-// Cut-point diffing: the primitive behind incremental dataset refresh
-// (internal/datastore). Fayyad–Irani cuts are per-gene, so after rows
-// are appended only genes whose refitted cut points differ from the
-// previous version's need their item columns rebuilt — every other
-// gene's row→interval mapping is unchanged for the old rows.
+// Cut-point diffing: how far an append moved the discretization.
+// The datastore reports len(DiffCuts(old, new)) as a snapshot's
+// RefreshStats.ChangedGenes.
 //
 // Equality here is exact float64 equality on purpose: cut points are
 // deterministic midpoints computed by stats.BestBinarySplit, so two
 // fits over identical data produce bit-identical cuts, and any
 // difference — however small — moves at least one row across an
-// interval boundary in principle. An epsilon would silently reuse a
-// stale column.
+// interval boundary in principle.
 
 // EqualCuts reports whether two cut-point lists are identical
 // (same length, same values, element-wise).
@@ -52,36 +47,4 @@ func DiffCuts(old, new [][]float64) []int {
 		}
 	}
 	return changed
-}
-
-// ItemTable returns the discretizer's item table: one dataset.Item per
-// interval of each retained gene, in gene order. The slice is shared
-// with every dataset this discretizer transforms; callers must not
-// mutate it. Incremental refresh uses it to assemble a dataset from
-// reused interval columns without re-running Transform.
-func (dz *Discretizer) ItemTable() []dataset.Item { return dz.items }
-
-// GeneItemRange returns the first global item id of gene g's intervals
-// and the interval count. Genes rejected by MDL (no cuts) return
-// (-1, 0). Item ids for gene g are start..start+n-1, interval index
-// ascending.
-func (dz *Discretizer) GeneItemRange(g int) (start, n int) {
-	start = dz.itemStart[g]
-	if start < 0 {
-		return -1, 0
-	}
-	return start, len(dz.Cuts[g]) + 1
-}
-
-// IntervalIndex returns the interval index of value v within gene g's
-// cut points: the count of cuts <= v ([Lo,Hi) semantics, matching
-// itemFor). It is valid for any gene, including dropped ones (where
-// the only interval is 0).
-func (dz *Discretizer) IntervalIndex(g int, v float64) int {
-	cuts := dz.Cuts[g]
-	idx := 0
-	for idx < len(cuts) && cuts[idx] <= v {
-		idx++
-	}
-	return idx
 }

@@ -3,8 +3,6 @@ package discretize
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 func TestEqualAndDiffCuts(t *testing.T) {
@@ -26,47 +24,5 @@ func TestEqualAndDiffCuts(t *testing.T) {
 	// Length mismatch: the extra gene is changed.
 	if got := DiffCuts([][]float64{{1}}, [][]float64{{1}, {2}}); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("DiffCuts length mismatch = %v, want [1]", got)
-	}
-}
-
-// TestIntervalIndexMatchesTransform checks the exported interval
-// arithmetic against Transform on a fitted discretizer: item id =
-// GeneItemRange start + IntervalIndex, including the cut-equal
-// boundary ([Lo,Hi) puts a value equal to a cut in the right bin).
-func TestIntervalIndexMatchesTransform(t *testing.T) {
-	m := &dataset.Matrix{
-		GeneNames:  []string{"g0", "noise"},
-		ClassNames: []string{"a", "b"},
-		Values: [][]float64{
-			{1, 5}, {2, 5}, {3, 5}, {4, 5},
-			{10, 5}, {11, 5}, {12, 5}, {13, 5},
-		},
-		Labels: []dataset.Label{0, 0, 0, 0, 1, 1, 1, 1},
-	}
-	dz, err := FitMatrix(m)
-	if err != nil {
-		t.Fatalf("FitMatrix: %v", err)
-	}
-	if len(dz.Cuts[0]) == 0 {
-		t.Fatal("fixture gene g0 got no cut")
-	}
-	start, n := dz.GeneItemRange(0)
-	if start != 0 || n != len(dz.Cuts[0])+1 {
-		t.Fatalf("GeneItemRange(0) = %d,%d", start, n)
-	}
-	if s, n := dz.GeneItemRange(1); s != -1 || n != 0 {
-		t.Fatalf("GeneItemRange(dropped) = %d,%d, want -1,0", s, n)
-	}
-	if got, want := len(dz.ItemTable()), dz.NumItems(); got != want {
-		t.Fatalf("ItemTable has %d items, want %d", got, want)
-	}
-
-	cut := dz.Cuts[0][0]
-	for _, v := range []float64{cut - 1, cut, cut + 1, -100, 100} {
-		wantItems := dz.RowItems([]float64{v, 5})
-		got := start + dz.IntervalIndex(0, v)
-		if len(wantItems) != 1 || wantItems[0] != got {
-			t.Fatalf("value %g: IntervalIndex item %d, RowItems %v", v, got, wantItems)
-		}
 	}
 }

@@ -63,9 +63,8 @@ type Options struct {
 	// rule-group miners, all rows for closed-set miners.
 	Minsup int
 	// Minconf is the static minimum confidence; 0 disables. Farmer
-	// filters rules below it; the top-k miner treats it as a floor its
-	// caller (e.g. a cluster coordinator) guarantees the final lists
-	// stay at or above, and prunes groups strictly below it.
+	// filters rules below it; the top-k miner prunes groups strictly
+	// below it, so a row's list may hold fewer than K groups.
 	Minconf float64
 	// MinChi is the static minimum chi-square (farmer); 0 disables.
 	MinChi float64

@@ -117,7 +117,7 @@ func (s *runState) exhausted() bool {
 	return s.cfg.MaxNodes > 0 && (s.stats.Aborted || s.stats.Nodes >= s.cfg.MaxNodes)
 }
 
-// PlanPartitions computes the column-phase partition plan for mining
+// planPartitions computes the column-phase partition plan for mining
 // class cls of d with the given absolute minimum support: one
 // partition per frequent item i — the rows containing i — with
 // identical partitions (items sharing a support set) deduplicated,
@@ -129,9 +129,8 @@ func (s *runState) exhausted() bool {
 // their defining item, each as the ascending global row ids of that
 // item's support set. Mining every partition (plus the wide residual)
 // and merging per-row top-k boards reconstructs the exact single-node
-// result — the invariant both hybrid.MineContext and the cluster
-// coordinator build on. cls must be a valid class of d.
-func PlanPartitions(d *dataset.Dataset, cls dataset.Label, minsup, maxRows int) (parts [][]int, wide []int) {
+// result. cls must be a valid class of d.
+func planPartitions(d *dataset.Dataset, cls dataset.Label, minsup, maxRows int) (parts [][]int, wide []int) {
 	pos := d.RowSet(cls)
 	keys := map[string]bool{}
 	for i := 0; i < d.NumItems(); i++ {
@@ -195,10 +194,9 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cls dataset.Label, cfg
 	seen := map[string]bool{}
 
 	// Column phase: one partition per frequent item, deduplicated by
-	// support set (identical partitions yield identical groups). The
-	// plan is shared with the cluster coordinator via PlanPartitions.
+	// support set (identical partitions yield identical groups).
 	st := &runState{cfg: cfg}
-	parts, wideItems := PlanPartitions(d, cls, cfg.Minsup, cfg.MaxPartitionRows)
+	parts, wideItems := planPartitions(d, cls, cfg.Minsup, cfg.MaxPartitionRows)
 	for _, rows := range parts {
 		if st.exhausted() {
 			// Budget spent with this partition (at least) still unmined:

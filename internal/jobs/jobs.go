@@ -120,14 +120,13 @@ type Spec struct {
 	// (closed-set miners).
 	MinsupFrac float64 `json:"minsupFrac,omitempty"`
 	// Minconf is a static minimum-confidence floor for mine jobs
-	// (0 = none). A cluster coordinator sets it to the merged boards'
-	// global threshold so remote workers prune as aggressively as local
-	// enumeration would.
+	// (0 = none): groups strictly below it are discarded, so a row's
+	// top-k list may come back short.
 	Minconf float64 `json:"minconf,omitempty"`
 	// ReturnGroups asks a mine job to journal the discovered rule
-	// groups in Result.GroupList (antecedents, supports, row sets) —
-	// the payload a cluster coordinator merges. Off by default: group
-	// lists can be large and listings only need the counts.
+	// groups in Result.GroupList (antecedents, supports, row sets), so
+	// clients can read them from GET /v1/jobs/{id}. Off by default:
+	// group lists can be large and listings only need the counts.
 	ReturnGroups bool `json:"returnGroups,omitempty"`
 	// NL is the lower-bound rule count for train jobs (0 = 20).
 	NL int `json:"nl,omitempty"`
@@ -186,8 +185,8 @@ type Progress struct {
 // Result.GroupList: plain slices and scalars so it journals and ships
 // over HTTP losslessly. Confidence round-trips exactly through JSON
 // (encoding/json emits the shortest representation that parses back to
-// the same float64), which is what lets a cluster coordinator compare
-// remote confidences with rules.CompareConf.
+// the same float64), so a client comparing confidences read from a job
+// record with rules.CompareConf gets the in-process ordering.
 type MinedGroup struct {
 	// Items is the sorted antecedent (upper bound) in dataset item ids.
 	Items []int `json:"items"`

@@ -277,11 +277,8 @@ func FindAll(d *dataset.Dataset, groups []*rules.Group, cfg Config) [][]*rules.R
 	if len(groups) == 0 {
 		return out
 	}
-	// Warm the dataset's inverted index and the default scores before
-	// fan-out: both are lazily built and must not race.
-	if d.NumItems() > 0 {
-		d.ItemRows(0)
-	}
+	// Compute the default scores once, before fan-out, rather than once
+	// per group.
 	if cfg.ItemScore == nil {
 		cfg.ItemScore = DefaultItemScores(d)
 	}

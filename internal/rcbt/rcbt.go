@@ -277,11 +277,6 @@ func mineClasses(ctx context.Context, d *dataset.Dataset, cfg Config, classCount
 			classes = append(classes, cls)
 		}
 	}
-	// Warm the dataset's lazily built item index before fanning out:
-	// Dataset.ItemRows is not synchronized.
-	if d.NumItems() > 0 {
-		d.ItemRows(0)
-	}
 	progress := cfg.Progress
 	if progress != nil {
 		// One mutex keeps ProgressFunc's never-concurrent promise across

@@ -91,7 +91,7 @@ func TestDatasetCRUD(t *testing.T) {
 		t.Fatalf("bad name: status %d: %s", rec.Code, rec.Body)
 	}
 
-	// Append two rows interior to the existing intervals → fast path.
+	// Append two rows interior to the existing intervals.
 	rec = postJSONRaw(t, s, "/v1/datasets/d/rows",
 		`{"rows":[{"values":[2,8],"label":"a"},{"values":[12,3],"label":1}]}`)
 	if rec.Code != http.StatusOK {
@@ -101,7 +101,7 @@ func TestDatasetCRUD(t *testing.T) {
 	if info.Version != 2 || info.Rows != 10 {
 		t.Fatalf("append info %+v", info)
 	}
-	if info.Refresh == nil || !info.Refresh.FastPath || info.Refresh.AppendedRows != 2 {
+	if info.Refresh == nil || info.Refresh.AppendedRows != 2 {
 		t.Fatalf("append refresh stats %+v", info.Refresh)
 	}
 
