@@ -44,11 +44,11 @@ perf:
 	$(GO) run ./cmd/benchrunner -exp perf -scale 30
 
 # Serving read-path trajectory: closed- and open-loop load against an
-# in-process server (rule-major batch kernel + prediction cache),
-# archived as BENCH_serving.json. The gate fails the run when any
-# (mode, batch) cell's p99 latency exceeds 1.5x its archived value —
-# compare the JSON against the checked-in copy to judge a read-path
-# change, like `make perf` for the mining kernel.
+# in-process server (prediction cache + scalar rule walk), archived as
+# BENCH_serving.json. The gate fails the run when any (mode, batch)
+# cell's p99 latency exceeds 1.5x its archived value — compare the JSON
+# against the checked-in copy to judge a read-path change, like
+# `make perf` for the mining kernel.
 loadbench:
 	$(GO) run ./cmd/loadgen -scale 30 -requests 200 -concurrency 4 -qps 200 -gate 1.5
 
@@ -74,14 +74,15 @@ experiments:
 serve:
 	$(GO) run ./cmd/rcbtserved -model fixture=internal/serve/testdata/model.json -addr :8344
 
-# Short fuzzing sessions over the dataset parsers, the bit-set algebra
-# and the discretizer.
+# Short fuzzing sessions over the dataset parsers, the bit-set algebra,
+# the discretizer and the model envelope decoder.
 fuzz:
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzReadDataset -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzSetOps -fuzztime 30s ./internal/bitset/
 	$(GO) test -fuzz FuzzFusedOps -fuzztime 30s ./internal/bitset/
 	$(GO) test -fuzz FuzzDiscretize -fuzztime 30s ./internal/discretize/
+	$(GO) test -fuzz FuzzLoadModel -fuzztime 30s ./internal/rcbt/
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -252,7 +252,7 @@ func TestRcbtservedSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqBody, _ := json.Marshal(map[string]any{"model": "synth", "values": m.Values[0]})
-	resp, err := http.Post(base+"/v1/classify", "application/json", bytes.NewReader(reqBody))
+	resp, err := http.Post(base+"/v1/models/synth/classify", "application/json", bytes.NewReader(reqBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +268,7 @@ func TestRcbtservedSmoke(t *testing.T) {
 		t.Fatalf("classify: %d %+v", resp.StatusCode, classifyResp)
 	}
 
-	// http.Post followed the 308 onto the model-scoped route, so the
-	// metrics carry both hops of the legacy path.
 	if code, body := get("/metrics"); code != http.StatusOK ||
-		!strings.Contains(body, `rcbtserved_requests_total{path="/v1/classify",code="308"} 1`) ||
 		!strings.Contains(body, `rcbtserved_requests_total{path="/v1/models/{name}/classify",code="200"} 1`) {
 		t.Fatalf("metrics: %d\n%s", code, body)
 	}

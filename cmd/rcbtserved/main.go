@@ -8,7 +8,7 @@
 //	    [-dataset name=matrix.txt ...] [-peers url,url,...] \
 //	    [-job-workers 2] [-job-queue 64] [-job-timeout 0] \
 //	    [-refresh-after 150ms] [-keep-versions 0] \
-//	    [-addr :8344] [-timeout 5s] [-max-batch 1024] [-batch-workers 4]
+//	    [-addr :8344] [-timeout 5s] [-max-batch 1024]
 //
 // Each -model flag loads one JSON model envelope (written by
 // cmd/rcbt -save) under a serving name. At least one of -model or
@@ -28,8 +28,8 @@
 //	GET  /healthz                          liveness probe
 //	GET  /metrics                          Prometheus text exposition
 //
-// (POST /v1/classify and /v1/classify/batch answer 308 redirects onto
-// the model-scoped routes for one release.)
+// Both classify routes label each row through the model's prediction
+// cache and, on a miss, the classifier's rule walk.
 //
 // With -data-dir, job records are journaled under <dir>/jobs and
 // trained models under <dir>/models; a restarted server lists prior
@@ -117,7 +117,6 @@ func main() {
 	addr := flag.String("addr", ":8344", "listen address (use :0 for an ephemeral port)")
 	timeout := flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "max rows per batch request")
-	batchWorkers := flag.Int("batch-workers", serve.DefaultBatchWorkers, "concurrent rows per batch request")
 	dataDir := flag.String("data-dir", "", "directory for job journals and trained models (enables /v1/jobs)")
 	jobWorkers := flag.Int("job-workers", 2, "concurrent jobs")
 	jobQueue := flag.Int("job-queue", 64, "max queued jobs")
@@ -209,7 +208,6 @@ func main() {
 		RefreshAfter:   *refreshAfter,
 		RequestTimeout: *timeout,
 		MaxBatch:       *maxBatch,
-		BatchWorkers:   *batchWorkers,
 		Logger:         logger,
 		Peers:          peers,
 	})

@@ -126,6 +126,12 @@ func (it Item) String() string {
 	return fmt.Sprintf("%s[%s,%s)", it.GeneName, lo, hi)
 }
 
+// MaxItems caps the item universe of a model envelope or an inline
+// dataset arriving from outside the process, so a declared size or an
+// item id cannot make a loader allocate without bound. A row bitset
+// over it is 128 KiB; OC, the widest paper profile, has 15,154 genes.
+const MaxItems = 1 << 20
+
 // Dataset is a discretized table: each row is a sorted set of item ids
 // plus a class label. It is the input to all rule miners.
 type Dataset struct {

@@ -65,7 +65,7 @@ func NewBatchScorer(c *Classifier, numItems int) *BatchScorer {
 		for ri, r := range sub.rules {
 			for _, it := range r.Antecedent {
 				if it < 0 || it >= numItems {
-					// vetsuite:allow panic -- corrupt-envelope precondition; recover-probed at model registration
+					// vetsuite:allow panic -- caller precondition: numItems must cover every antecedent, as a trained model's does
 					panic(fmt.Sprintf("rcbt: rule antecedent item %d outside universe [0,%d)", it, numItems))
 				}
 				used.Add(it)

@@ -11,20 +11,10 @@ import (
 // vocabulary the model was trained on). Item ids outside the model's
 // universe are rejected so a schema-mismatched caller fails loudly.
 func (m *Model) PredictItems(items []int) (dataset.Label, int, error) {
-	n := m.NumItems
-	if n == 0 {
-		// Classifier-only envelopes may omit the universe size; fall back
-		// to the largest referenced id.
-		for _, it := range items {
-			if it >= n {
-				n = it + 1
-			}
-		}
-	}
-	set := bitset.New(n)
+	set := bitset.New(m.NumItems)
 	for _, it := range items {
-		if it < 0 || it >= n {
-			return 0, 0, fmt.Errorf("rcbt: item id %d outside model universe [0,%d)", it, n)
+		if it < 0 || it >= m.NumItems {
+			return 0, 0, fmt.Errorf("rcbt: item id %d outside model universe [0,%d)", it, m.NumItems)
 		}
 		set.Add(it)
 	}

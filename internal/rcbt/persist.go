@@ -206,7 +206,10 @@ func Load(r io.Reader) (*Classifier, error) {
 }
 
 // LoadModel reads a model envelope written by Save, verifying the
-// schema version and kind tag.
+// schema version and kind tag. An envelope with neither numItems nor a
+// discretizer (written by Classifier.Save) gets the universe 1 + the
+// largest antecedent item. Every loaded model's universe is at most
+// dataset.MaxItems.
 func LoadModel(r io.Reader) (*Model, error) {
 	var env envelope
 	dec := json.NewDecoder(r)
@@ -249,5 +252,28 @@ func LoadModel(r io.Reader) (*Model, error) {
 			m.ClassNames = dz.ClassNames
 		}
 	}
+	if m.NumItems == 0 && m.Discretizer == nil {
+		m.NumItems = antecedentUniverse(env.Classifier)
+	}
+	switch {
+	case m.NumItems < 0:
+		return nil, fmt.Errorf("rcbt: load: negative item universe %d", m.NumItems)
+	case m.NumItems > dataset.MaxItems:
+		return nil, fmt.Errorf("rcbt: load: item universe exceeds the %d-item cap", dataset.MaxItems)
+	}
 	return m, nil
+}
+
+// antecedentUniverse returns 1 + the largest item a rule antecedent
+// names, saturating at dataset.MaxItems+1 so a huge id cannot overflow.
+func antecedentUniverse(s classifierSection) int {
+	n := 0
+	for _, sub := range s.Subs {
+		for _, r := range sub.Rules {
+			for _, it := range r.Items {
+				n = max(n, min(it, dataset.MaxItems)+1)
+			}
+		}
+	}
+	return n
 }

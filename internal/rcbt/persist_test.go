@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
 	"repro/internal/synth"
@@ -125,4 +126,71 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not a json document")); err == nil {
 		t.Fatal("garbage input must error")
 	}
+}
+
+// hugeUniverseEnvelope is a 193-byte envelope declaring a 2^40-item
+// universe. Loading it used to succeed, and a server then died
+// allocating one row bitset over it.
+const hugeUniverseEnvelope = `{"schema":1,"kind":"rcbt-model","numItems":1099511627776,"classifier":{"default":0,"classCount":[1,1],"numClasses":2,"subs":[{"rules":[{"items":[0],"class":0,"sup":1,"conf":1}],"norm":[1,1]}]}}`
+
+// TestLoadDerivesClassifierOnlyUniverse: an envelope written by
+// Classifier.Save carries no numItems, so LoadModel sizes the universe
+// as 1 + the largest antecedent item.
+func TestLoadDerivesClassifierOnlyUniverse(t *testing.T) {
+	d, _ := dataset.RunningExample()
+	c, err := Train(d, Config{K: 2, NL: 3, MinsupFrac: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, sub := range c.subs {
+		for _, r := range sub.rules {
+			for _, it := range r.Antecedent {
+				want = max(want, it+1)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == 0 || m.NumItems != want {
+		t.Fatalf("NumItems = %d, want %d (1 + largest antecedent item)", m.NumItems, want)
+	}
+}
+
+// FuzzLoadModel feeds arbitrary bytes to the envelope decoder, which
+// faces the network (replication pull-on-miss, rcbtserved -model). It
+// must never panic, must keep every accepted universe within
+// dataset.MaxItems, and the loaded classifier must label a full row
+// over that universe.
+func FuzzLoadModel(f *testing.F) {
+	d, _ := dataset.RunningExample()
+	c, err := Train(d, Config{K: 2, NL: 3, MinsupFrac: 0.5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	m := &Model{Classifier: c, ClassNames: d.ClassNames, NumItems: d.NumItems()}
+	if err := m.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(hugeUniverseEnvelope))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := LoadModel(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if m.NumItems < 0 || m.NumItems > dataset.MaxItems {
+			t.Fatalf("accepted a %d-item universe (cap %d)", m.NumItems, dataset.MaxItems)
+		}
+		row := bitset.New(m.NumItems)
+		row.Fill()
+		m.Classifier.Predict(row)
+	})
 }

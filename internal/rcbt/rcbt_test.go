@@ -289,6 +289,14 @@ func TestLoadRejectsMalformedModels(t *testing.T) {
 			"classifier":{"default":0,"classCount":[1,1],"numClasses":2,"subs":[]}}`,
 		"future schema": `{"schema":99,"kind":"rcbt-model",
 			"classifier":{"default":0,"classCount":[1,1],"numClasses":2,"subs":[]}}`,
+		// A universe past dataset.MaxItems would make a server allocate a
+		// row bitset that large, declared or derived from the rules.
+		"declared universe past the cap": hugeUniverseEnvelope,
+		"derived universe past the cap": `{"schema":1,"kind":"rcbt-model",
+			"classifier":{"default":0,"classCount":[1,1],"numClasses":2,
+			"subs":[{"rules":[{"items":[1099511627776],"class":0,"sup":1,"conf":1}],"norm":[1,1]}]}}`,
+		"negative universe": `{"schema":1,"kind":"rcbt-model","numItems":-1,
+			"classifier":{"default":0,"classCount":[1,1],"numClasses":2,"subs":[]}}`,
 	} {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: malformed model must be rejected", name)

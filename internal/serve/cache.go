@@ -9,8 +9,8 @@ import (
 	"repro/internal/dataset"
 )
 
-// DefaultCacheSize is the per-model prediction cache capacity applied
-// when Config.CacheSize is zero.
+// DefaultCacheSize is the capacity of every served model's prediction
+// cache, in classified rows.
 const DefaultCacheSize = 4096
 
 // predictCache memoizes classifications of discretized rows for one
@@ -22,8 +22,7 @@ const DefaultCacheSize = 4096
 // Keys are the rows' bitset.Set.Hash64 values; a hit additionally
 // verifies Set.Equal against the stored row, so a 64-bit hash collision
 // degrades to a miss (and an overwrite on insert), never to a wrong
-// label. Concurrent requests for the same uncached row are coalesced
-// singleflight-style: one computes, the rest wait for its result.
+// label.
 //
 // Invalidation is by replacement: RegisterModel builds a fresh cache
 // for the incoming model, so a hot-swap can never serve the old
@@ -34,7 +33,6 @@ type predictCache struct {
 	mu     sync.Mutex
 	byHash map[uint64]*list.Element // one slot per hash; Equal-verified
 	lru    *list.List               // front = most recently used *cacheEntry
-	flight map[uint64]*inflightPredict
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -48,26 +46,15 @@ type cacheEntry struct {
 	idx   int
 }
 
-type inflightPredict struct {
-	key   *bitset.Set
-	done  chan struct{}
-	label dataset.Label
-	idx   int
-	err   error
-}
-
 func newPredictCache(capacity int) *predictCache {
 	return &predictCache{
 		capacity: capacity,
 		byHash:   make(map[uint64]*list.Element, capacity),
 		lru:      list.New(),
-		flight:   make(map[uint64]*inflightPredict),
 	}
 }
 
-// get returns the cached classification of row, if present. The batch
-// path probes with get and fills misses through the batch kernel; the
-// single-row path uses getOrCompute for singleflight coalescing.
+// get returns the cached classification of row, if present.
 func (c *predictCache) get(row *bitset.Set) (dataset.Label, int, bool) {
 	h := row.Hash64()
 	c.mu.Lock()
@@ -87,13 +74,9 @@ func (c *predictCache) get(row *bitset.Set) (dataset.Label, int, bool) {
 // put memoizes a classification. The row is cloned, so callers may
 // return it to a pool immediately.
 func (c *predictCache) put(row *bitset.Set, label dataset.Label, idx int) {
-	h := row.Hash64()
+	h, key := row.Hash64(), row.Clone()
 	c.mu.Lock()
-	c.insertLocked(h, row.Clone(), label, idx)
-	c.mu.Unlock()
-}
-
-func (c *predictCache) insertLocked(h uint64, key *bitset.Set, label dataset.Label, idx int) {
+	defer c.mu.Unlock()
 	if e, ok := c.byHash[h]; ok {
 		// Same row re-inserted, or a hash collision: either way the slot
 		// holds the newest classification.
@@ -109,51 +92,6 @@ func (c *predictCache) insertLocked(h uint64, key *bitset.Set, label dataset.Lab
 		delete(c.byHash, oldest.Value.(*cacheEntry).hash)
 		c.evictions.Add(1)
 	}
-}
-
-// getOrCompute returns the cached classification of row, computing and
-// memoizing it with fn on a miss. Concurrent misses on the same row are
-// coalesced: exactly one caller runs fn, the rest block on its result.
-// fn's error is propagated to every waiter and nothing is cached.
-func (c *predictCache) getOrCompute(row *bitset.Set, fn func() (dataset.Label, int, error)) (dataset.Label, int, error) {
-	h := row.Hash64()
-	c.mu.Lock()
-	if e, ok := c.byHash[h]; ok {
-		ent := e.Value.(*cacheEntry)
-		if ent.key.Equal(row) {
-			c.lru.MoveToFront(e)
-			c.hits.Add(1)
-			c.mu.Unlock()
-			return ent.label, ent.idx, nil
-		}
-	}
-	c.misses.Add(1)
-	if fl, ok := c.flight[h]; ok && fl.key.Equal(row) {
-		c.mu.Unlock()
-		<-fl.done
-		return fl.label, fl.idx, fl.err
-	}
-	// Leader (or a hash-colliding concurrent row, which computes
-	// unconditionally rather than wait behind a different row's flight).
-	fl := &inflightPredict{key: row.Clone(), done: make(chan struct{})}
-	leader := c.flight[h] == nil
-	if leader {
-		c.flight[h] = fl
-	}
-	c.mu.Unlock()
-
-	fl.label, fl.idx, fl.err = fn()
-
-	c.mu.Lock()
-	if leader {
-		delete(c.flight, h)
-	}
-	if fl.err == nil {
-		c.insertLocked(h, fl.key, fl.label, fl.idx)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.label, fl.idx, fl.err
 }
 
 // cacheCounters is a point-in-time snapshot for /metrics.

@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitset"
@@ -53,56 +51,6 @@ func TestPredictCacheLRU(t *testing.T) {
 	}
 }
 
-func TestPredictCacheSingleflight(t *testing.T) {
-	c := newPredictCache(8)
-	row := bitset.FromIndices(10, 4)
-	var computes atomic.Int32
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			label, idx, err := c.getOrCompute(row, func() (dataset.Label, int, error) {
-				computes.Add(1)
-				<-gate // hold the leader so the others pile up behind it
-				return 1, 3, nil
-			})
-			if err != nil || label != 1 || idx != 3 {
-				t.Errorf("getOrCompute = (%d,%d,%v)", label, idx, err)
-			}
-		}()
-	}
-	close(gate)
-	wg.Wait()
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("%d computes for one row, want 1 (singleflight)", got)
-	}
-	// Now cached: no further computes.
-	if _, _, err := c.getOrCompute(row, func() (dataset.Label, int, error) {
-		computes.Add(1)
-		return 0, 0, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if computes.Load() != 1 {
-		t.Fatal("cached row recomputed")
-	}
-}
-
-func TestPredictCacheErrorNotCached(t *testing.T) {
-	c := newPredictCache(8)
-	row := bitset.FromIndices(10, 5)
-	if _, _, err := c.getOrCompute(row, func() (dataset.Label, int, error) {
-		return 0, 0, fmt.Errorf("boom")
-	}); err == nil {
-		t.Fatal("error must propagate")
-	}
-	if _, _, ok := c.get(row); ok {
-		t.Fatal("failed compute must not be cached")
-	}
-}
-
 func getMetrics(t *testing.T, s *Server) string {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
@@ -124,7 +72,7 @@ func TestServeCacheMetrics(t *testing.T) {
 
 	row, _ := json.Marshal(ClassifyRequest{Model: "example", Items: d.Rows[0]})
 	for i := 0; i < 3; i++ { // 1 miss + 2 hits
-		if rec := postJSON(t, s, "/v1/classify", string(row)); rec.Code != http.StatusOK {
+		if rec := postJSON(t, s, "/v1/models/example/classify", string(row)); rec.Code != http.StatusOK {
 			t.Fatalf("classify status %d: %s", rec.Code, rec.Body)
 		}
 	}
@@ -133,17 +81,18 @@ func TestServeCacheMetrics(t *testing.T) {
 		batch.Rows = append(batch.Rows, BatchRow{Items: d.Rows[r]})
 	}
 	body, _ := json.Marshal(batch)
-	// First batch: row 0 hits (classified above), the rest miss and are
-	// filled; the identical second batch hits on every row.
+	// First batch: row 0 hits (classified above) and row 3, a repeat of
+	// row 2, hits on its second occurrence; the rest miss and are
+	// filled. The identical second batch hits on every row.
 	for i := 0; i < 2; i++ {
-		if rec := postJSON(t, s, "/v1/classify/batch", string(body)); rec.Code != http.StatusOK {
+		if rec := postJSON(t, s, "/v1/models/example/classify/batch", string(body)); rec.Code != http.StatusOK {
 			t.Fatalf("batch status %d: %s", rec.Code, rec.Body)
 		}
 	}
 
 	text := getMetrics(t, s)
-	wantHits := uint64(2 + 1 + d.NumRows())
-	wantMisses := uint64(1 + d.NumRows() - 1)
+	wantHits := uint64(2 + 2 + d.NumRows())
+	wantMisses := uint64(1 + d.NumRows() - 2)
 	for _, want := range []string{
 		fmt.Sprintf(`rcbtserved_predict_cache_hits_total{model="example"} %d`, wantHits),
 		fmt.Sprintf(`rcbtserved_predict_cache_misses_total{model="example"} %d`, wantMisses),
@@ -166,7 +115,7 @@ func TestHotSwapEmptiesCache(t *testing.T) {
 	row, _ := json.Marshal(ClassifyRequest{Model: "example", Items: d.Rows[0]})
 	var before ClassifyResponse
 	for i := 0; i < 2; i++ { // warm the cache: miss then hit
-		rec := postJSON(t, s, "/v1/classify", string(row))
+		rec := postJSON(t, s, "/v1/models/example/classify", string(row))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
@@ -190,7 +139,7 @@ func TestHotSwapEmptiesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := postJSON(t, s, "/v1/classify", string(row))
+	rec := postJSON(t, s, "/v1/models/example/classify", string(row))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-swap status %d: %s", rec.Code, rec.Body)
 	}
@@ -208,21 +157,18 @@ func TestHotSwapEmptiesCache(t *testing.T) {
 	}
 }
 
-// TestBatchKernelMatchesScalarServing: the batch endpoint (kernel path,
-// cache disabled) must agree row for row with the single-row endpoint.
-func TestBatchKernelMatchesScalarServing(t *testing.T) {
+// TestBatchMatchesPredictValues: the batch endpoint must agree row for
+// row with the in-process Model.PredictValues.
+func TestBatchMatchesPredictValues(t *testing.T) {
 	m, testM := synthModel(t)
-	s := newTestServer(t, Config{
-		Models:    map[string]*rcbt.Model{"synth": m},
-		CacheSize: -1, // force every row through the rule-major kernel
-	})
+	s := newTestServer(t, Config{Models: map[string]*rcbt.Model{"synth": m}})
 	batch := BatchRequest{Model: "synth"}
 	n := testM.NumRows()
 	for r := 0; r < n; r++ {
 		batch.Rows = append(batch.Rows, BatchRow{Values: testM.Values[r]})
 	}
 	body, _ := json.Marshal(batch)
-	rec := postJSON(t, s, "/v1/classify/batch", string(body))
+	rec := postJSON(t, s, "/v1/models/synth/classify/batch", string(body))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -240,7 +186,7 @@ func TestBatchKernelMatchesScalarServing(t *testing.T) {
 		}
 		got := resp.Results[r]
 		if got.Label != int(want) || got.Classifier != wantIdx {
-			t.Fatalf("row %d: batch (%d,%d), scalar (%d,%d)", r, got.Label, got.Classifier, want, wantIdx)
+			t.Fatalf("row %d: batch (%d,%d), PredictValues (%d,%d)", r, got.Label, got.Classifier, want, wantIdx)
 		}
 	}
 }
@@ -262,7 +208,7 @@ func TestBatchTooLargeStreaming(t *testing.T) {
 		sb.WriteString(`{"items":[0]}`)
 	}
 	sb.WriteString(`], "model": "example"}`)
-	rec := postJSON(t, s, "/v1/classify/batch", sb.String())
+	rec := postJSON(t, s, "/v1/models/example/classify/batch", sb.String())
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
 	}

@@ -244,8 +244,8 @@ func writeDatasetError(w http.ResponseWriter, err error) {
 // flows through the normal pipeline — journal, worker pool, model
 // persistence — and its OnModel hook hot-swaps the refreshed model
 // into the serve registry with a fresh prediction cache, so a client
-// polling /v1/classify across the swap only ever sees a fully
-// installed model (old or new).
+// polling /v1/models/{name}/classify across the swap only ever sees a
+// fully installed model (old or new).
 func (s *Server) fireRefresh(name string) {
 	snap, err := s.store.Get(name)
 	if err != nil {

@@ -71,7 +71,7 @@ func decodeDatasetInfo(t *testing.T, body *bytes.Buffer) DatasetInfo {
 func TestDatasetCRUD(t *testing.T) {
 	s, _ := newStreamServer(t, -1, 0) // auto-refresh off: pure CRUD
 
-	rec := postJSONRaw(t, s, "/v1/datasets", streamFixtureCreate)
+	rec := postJSON(t, s, "/v1/datasets", streamFixtureCreate)
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("create: status %d: %s", rec.Code, rec.Body)
 	}
@@ -83,16 +83,16 @@ func TestDatasetCRUD(t *testing.T) {
 		t.Fatalf("discretization info %+v: want 1 selected gene, 2 items", info)
 	}
 
-	if rec := postJSONRaw(t, s, "/v1/datasets", streamFixtureCreate); rec.Code != http.StatusConflict {
+	if rec := postJSON(t, s, "/v1/datasets", streamFixtureCreate); rec.Code != http.StatusConflict {
 		t.Fatalf("duplicate create: status %d: %s", rec.Code, rec.Body)
 	}
-	if rec := postJSONRaw(t, s, "/v1/datasets",
+	if rec := postJSON(t, s, "/v1/datasets",
 		`{"name":"bad/name","classes":["a","b"],"genes":["g"]}`); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("bad name: status %d: %s", rec.Code, rec.Body)
 	}
 
 	// Append two rows interior to the existing intervals.
-	rec = postJSONRaw(t, s, "/v1/datasets/d/rows",
+	rec = postJSON(t, s, "/v1/datasets/d/rows",
 		`{"rows":[{"values":[2,8],"label":"a"},{"values":[12,3],"label":1}]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("append: status %d: %s", rec.Code, rec.Body)
@@ -106,16 +106,16 @@ func TestDatasetCRUD(t *testing.T) {
 	}
 
 	// Error taxonomy on append.
-	if rec := postJSONRaw(t, s, "/v1/datasets/nope/rows", `{"rows":[{"values":[1,1],"label":"a"}]}`); rec.Code != http.StatusNotFound {
+	if rec := postJSON(t, s, "/v1/datasets/nope/rows", `{"rows":[{"values":[1,1],"label":"a"}]}`); rec.Code != http.StatusNotFound {
 		t.Fatalf("append unknown: status %d", rec.Code)
 	}
-	if rec := postJSONRaw(t, s, "/v1/datasets/d/rows", `{"rows":[{"values":[1,1],"label":"c"}]}`); rec.Code != http.StatusUnprocessableEntity {
+	if rec := postJSON(t, s, "/v1/datasets/d/rows", `{"rows":[{"values":[1,1],"label":"c"}]}`); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("append unknown class: status %d: %s", rec.Code, rec.Body)
 	}
-	if rec := postJSONRaw(t, s, "/v1/datasets/d/rows", `{"rows":[{"values":[1],"label":"a"}]}`); rec.Code != http.StatusUnprocessableEntity {
+	if rec := postJSON(t, s, "/v1/datasets/d/rows", `{"rows":[{"values":[1],"label":"a"}]}`); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("append short row: status %d: %s", rec.Code, rec.Body)
 	}
-	if rec := postJSONRaw(t, s, "/v1/datasets/d/rows", `{"rows":[]}`); rec.Code != http.StatusUnprocessableEntity {
+	if rec := postJSON(t, s, "/v1/datasets/d/rows", `{"rows":[]}`); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("empty append: status %d: %s", rec.Code, rec.Body)
 	}
 
@@ -155,10 +155,10 @@ func TestDatasetCRUD(t *testing.T) {
 // fallback.
 func TestJobDatasetResolution(t *testing.T) {
 	s, store := newStreamServer(t, -1, 2)
-	if rec := postJSONRaw(t, s, "/v1/datasets", streamFixtureCreate); rec.Code != http.StatusCreated {
+	if rec := postJSON(t, s, "/v1/datasets", streamFixtureCreate); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d: %s", rec.Code, rec.Body)
 	}
-	if rec := postJSONRaw(t, s, "/v1/datasets/d/rows",
+	if rec := postJSON(t, s, "/v1/datasets/d/rows",
 		`{"rows":[{"values":[2,8],"label":"a"}]}`); rec.Code != http.StatusOK {
 		t.Fatalf("append: %d: %s", rec.Code, rec.Body)
 	}
@@ -181,7 +181,7 @@ func TestJobDatasetResolution(t *testing.T) {
 
 	// Two more appends prune v1 (KeepVersions=2) → pinned ref is 409.
 	for i := 0; i < 2; i++ {
-		if rec := postJSONRaw(t, s, "/v1/datasets/d/rows",
+		if rec := postJSON(t, s, "/v1/datasets/d/rows",
 			`{"rows":[{"values":[2,8],"label":"a"}]}`); rec.Code != http.StatusOK {
 			t.Fatalf("append %d: %d: %s", i, rec.Code, rec.Body)
 		}
@@ -189,13 +189,13 @@ func TestJobDatasetResolution(t *testing.T) {
 	if vs, err := store.Versions("d"); err != nil || vs[0] != 3 {
 		t.Fatalf("retained versions %v (%v)", vs, err)
 	}
-	if rec := postJSONRaw(t, s, "/v1/jobs", `{"kind":"train","dataset":"d@1"}`); rec.Code != http.StatusConflict {
+	if rec := postJSON(t, s, "/v1/jobs", `{"kind":"train","dataset":"d@1"}`); rec.Code != http.StatusConflict {
 		t.Fatalf("pruned pin: status %d: %s", rec.Code, rec.Body)
 	}
-	if rec := postJSONRaw(t, s, "/v1/jobs", `{"kind":"train","dataset":"d@x"}`); rec.Code != http.StatusUnprocessableEntity {
+	if rec := postJSON(t, s, "/v1/jobs", `{"kind":"train","dataset":"d@x"}`); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("malformed ref: status %d: %s", rec.Code, rec.Body)
 	}
-	if rec := postJSONRaw(t, s, "/v1/jobs", `{"kind":"train","dataset":"ghost"}`); rec.Code != http.StatusNotFound {
+	if rec := postJSON(t, s, "/v1/jobs", `{"kind":"train","dataset":"ghost"}`); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown ref: status %d: %s", rec.Code, rec.Body)
 	}
 
@@ -236,10 +236,10 @@ func pollModelVersion(t *testing.T, s *Server, model string, version int) {
 // indistinguishable from a from-scratch train on the final snapshot.
 func TestAutoRefreshOracle(t *testing.T) {
 	s, store := newStreamServer(t, time.Millisecond, 0)
-	if rec := postJSONRaw(t, s, "/v1/datasets", streamFixtureCreate); rec.Code != http.StatusCreated {
+	if rec := postJSON(t, s, "/v1/datasets", streamFixtureCreate); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d: %s", rec.Code, rec.Body)
 	}
-	rec := postJSONRaw(t, s, "/v1/datasets/d/rows",
+	rec := postJSON(t, s, "/v1/datasets/d/rows",
 		`{"rows":[{"values":[6,1],"label":"a"},{"values":[12,7],"label":"b"}]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("append: %d: %s", rec.Code, rec.Body)
@@ -301,16 +301,17 @@ func TestAutoRefreshOracle(t *testing.T) {
 	}
 }
 
-// TestClassifyAcrossSwap hammers /v1/classify while appends hot-swap
-// the model underneath: every response must be a 200 with a label from
-// the class list — never an error, never a half-installed model.
+// TestClassifyAcrossSwap hammers /v1/models/d/classify while appends
+// hot-swap the model underneath: every response must be a 200 with a
+// label from the class list — never an error, never a half-installed
+// model.
 func TestClassifyAcrossSwap(t *testing.T) {
 	s, _ := newStreamServer(t, time.Millisecond, 0)
-	if rec := postJSONRaw(t, s, "/v1/datasets", streamFixtureCreate); rec.Code != http.StatusCreated {
+	if rec := postJSON(t, s, "/v1/datasets", streamFixtureCreate); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d: %s", rec.Code, rec.Body)
 	}
 	// Seed the first model and wait for it to serve.
-	if rec := postJSONRaw(t, s, "/v1/jobs",
+	if rec := postJSON(t, s, "/v1/jobs",
 		`{"kind":"train","dataset":"d","modelName":"d","k":2,"nl":3,"minsupFrac":0.5}`); rec.Code != http.StatusAccepted {
 		t.Fatalf("seed train: %d: %s", rec.Code, rec.Body)
 	}
@@ -355,7 +356,7 @@ func TestClassifyAcrossSwap(t *testing.T) {
 
 	// Each append swaps in a refreshed model while the workers hammer.
 	for i := 0; i < 4; i++ {
-		rec := postJSONRaw(t, s, "/v1/datasets/d/rows",
+		rec := postJSON(t, s, "/v1/datasets/d/rows",
 			fmt.Sprintf(`{"rows":[{"values":[%d,1],"label":"a"},{"values":[%d,2],"label":"b"}]}`, 1+i, 10+i))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("append %d: %d: %s", i, rec.Code, rec.Body)

@@ -8,10 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 
-	"repro/internal/bitset"
-	"repro/internal/dataset"
 	"repro/internal/rcbt"
 )
 
@@ -120,44 +117,9 @@ func codeForStatus(status int) string {
 	}
 }
 
-// redirectLegacyClassify serves the pre-resource classify paths for
-// one release: the body is peeked for the model name (a single-model
-// server fills it in) and the client is 308-redirected to the
-// model-scoped route. 308 re-sends the method and body, so the target
-// handler sees the original request.
-func (s *Server) redirectLegacyClassify(suffix string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-			return
-		}
-		var peek struct {
-			Model string `json:"model"`
-		}
-		json.Unmarshal(body, &peek) // vetsuite:allow uncheckederr -- best-effort peek; malformed bodies get their real diagnostic at the target
-		name := peek.Model
-		if name == "" {
-			s.mu.RLock()
-			if len(s.models) == 1 {
-				for n := range s.models {
-					name = n
-				}
-			}
-			s.mu.RUnlock()
-		}
-		if name == "" {
-			writeError(w, http.StatusBadRequest, "model name required")
-			return
-		}
-		w.Header().Set("Deprecation", "true")
-		http.Redirect(w, r, "/v1/models/"+url.PathEscape(name)+"/classify"+suffix, http.StatusPermanentRedirect)
-	}
-}
-
 // bindModelName reconciles the route's {name} with the body's
-// (optional, legacy) model field: an empty body field inherits the
-// path, a mismatch is a 400.
+// optional model field: an empty body field inherits the path, a
+// mismatch is a 400.
 func bindModelName(w http.ResponseWriter, r *http.Request, model *string) bool {
 	name := r.PathValue("name")
 	if *model != "" && *model != name {
@@ -181,44 +143,21 @@ func (s *Server) handleClassifyModel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	m := sm.model
-	var (
-		label dataset.Label
-		idx   int
-		err   error
-	)
-	if m.NumItems > 0 {
-		if err = r.Context().Err(); err != nil {
-			writeClassifyError(w, err)
-			return
-		}
-		var row *bitset.Set
-		row, err = sm.rowSet(req.Values, req.Items)
-		if err != nil {
-			writeClassifyError(w, err)
-			return
-		}
-		if sm.cache != nil {
-			label, idx, err = sm.cache.getOrCompute(row, func() (dataset.Label, int, error) {
-				l, i := m.Classifier.Predict(row)
-				return l, i, nil
-			})
-		} else {
-			label, idx = m.Classifier.Predict(row)
-		}
-		sm.putRow(row)
-	} else {
-		label, idx, err = predictRow(r.Context(), m, req.Values, req.Items)
+	if err := r.Context().Err(); err != nil {
+		writeClassifyError(w, err)
+		return
 	}
+	label, idx, err := sm.classify(req.Values, req.Items)
 	if err != nil {
 		writeClassifyError(w, err)
 		return
 	}
-	s.metrics.recordPrediction(req.Model, m.ClassName(label))
+	class := sm.model.ClassName(label)
+	s.metrics.recordPrediction(req.Model, class)
 	writeJSON(w, http.StatusOK, ClassifyResponse{
 		Model:      req.Model,
 		Label:      int(label),
-		Class:      m.ClassName(label),
+		Class:      class,
 		Classifier: idx,
 	})
 }
@@ -239,11 +178,23 @@ func (s *Server) handleBatchModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch has no rows")
 		return
 	}
-	if sm.batch {
-		s.batchKernel(w, r, sm, req)
-		return
+	ctx := r.Context()
+	results := make([]BatchResult, len(req.Rows))
+	for i, row := range req.Rows {
+		if err := ctx.Err(); err != nil {
+			writeClassifyError(w, err)
+			return
+		}
+		label, idx, err := sm.classify(row.Values, row.Items)
+		if err != nil {
+			results[i] = BatchResult{Label: -1, Classifier: -1, Error: err.Error()}
+			continue
+		}
+		class := sm.model.ClassName(label)
+		s.metrics.recordPrediction(req.Model, class)
+		results[i] = BatchResult{Label: int(label), Class: class, Classifier: idx}
 	}
-	s.batchScalar(w, r, sm.model, req)
+	writeJSON(w, http.StatusOK, BatchResponse{Model: req.Model, Results: results})
 }
 
 // decodeBatchRequest streams the batch body token by token, so a batch
@@ -312,102 +263,6 @@ func decodeBatchRequest(w http.ResponseWriter, r *http.Request, maxB int) (*Batc
 	return req, true
 }
 
-// batchKernel is the read path for models with a fixed item universe:
-// every row is discretized into a pooled bitset, probed against the
-// prediction cache, and the misses go through one rule-major
-// BatchScorer sweep instead of len(rows) scalar rule walks.
-func (s *Server) batchKernel(w http.ResponseWriter, r *http.Request, sm *servedModel, req *BatchRequest) {
-	ctx := r.Context()
-	m := sm.model
-	results := make([]BatchResult, len(req.Rows))
-	missRows := make([]*bitset.Set, 0, len(req.Rows))
-	missIdx := make([]int, 0, len(req.Rows))
-	for i, br := range req.Rows {
-		set, err := sm.rowSet(br.Values, br.Items)
-		if err != nil {
-			results[i] = BatchResult{Label: -1, Classifier: -1, Error: err.Error()}
-			continue
-		}
-		if sm.cache != nil {
-			if label, idx, ok := sm.cache.get(set); ok {
-				results[i] = BatchResult{Label: int(label), Class: m.ClassName(label), Classifier: idx}
-				s.metrics.recordPrediction(req.Model, m.ClassName(label))
-				sm.putRow(set)
-				continue
-			}
-		}
-		missRows = append(missRows, set)
-		missIdx = append(missIdx, i)
-	}
-	if err := ctx.Err(); err != nil {
-		for _, set := range missRows {
-			sm.putRow(set)
-		}
-		writeClassifyError(w, err)
-		return
-	}
-	if len(missRows) > 0 {
-		sc := sm.scorers.Get().(*rcbt.BatchScorer)
-		labels := make([]dataset.Label, len(missRows))
-		idxs := make([]int, len(missRows))
-		sc.PredictInto(missRows, labels, idxs)
-		sm.scorers.Put(sc)
-		for k, i := range missIdx {
-			if sm.cache != nil {
-				sm.cache.put(missRows[k], labels[k], idxs[k])
-			}
-			results[i] = BatchResult{Label: int(labels[k]), Class: m.ClassName(labels[k]), Classifier: idxs[k]}
-			s.metrics.recordPrediction(req.Model, m.ClassName(labels[k]))
-			sm.putRow(missRows[k])
-		}
-	}
-	writeJSON(w, http.StatusOK, BatchResponse{Model: req.Model, Results: results})
-}
-
-// batchScalar is the fallback for models without a fixed universe: a
-// bounded worker pool walking rows through the scalar predictor.
-func (s *Server) batchScalar(w http.ResponseWriter, r *http.Request, m *rcbt.Model, req *BatchRequest) {
-	results := make([]BatchResult, len(req.Rows))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := s.workers
-	if workers > len(req.Rows) {
-		workers = len(req.Rows)
-	}
-	ctx := r.Context()
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				row := req.Rows[idx]
-				label, clfIdx, err := predictRow(ctx, m, row.Values, row.Items)
-				if err != nil {
-					results[idx] = BatchResult{Label: -1, Classifier: -1, Error: err.Error()}
-					continue
-				}
-				s.metrics.recordPrediction(req.Model, m.ClassName(label))
-				results[idx] = BatchResult{Label: int(label), Class: m.ClassName(label), Classifier: clfIdx}
-			}
-		}()
-	}
-feed:
-	for i := range req.Rows {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		writeClassifyError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, BatchResponse{Model: req.Model, Results: results})
-}
-
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	models := make(map[string]*rcbt.Model, len(s.models))
@@ -456,25 +311,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// predictRow applies the one-of values/items rule and honours the
-// request context: expired deadlines surface as the context error so
-// callers can map them to 504.
-func predictRow(ctx context.Context, m *rcbt.Model, values []float64, items []int) (dataset.Label, int, error) {
-	if err := ctx.Err(); err != nil {
-		return -1, -1, err
-	}
-	switch {
-	case len(values) > 0 && len(items) > 0:
-		return -1, -1, shapeError("set exactly one of values or items, not both")
-	case len(values) > 0:
-		return m.PredictValues(values)
-	case len(items) > 0:
-		return m.PredictItems(items)
-	default:
-		return -1, -1, shapeError("set one of values or items")
-	}
-}
-
 // shapeError marks a malformed row specification; it maps to 400
 // rather than the 422 used for rows a valid request shape cannot
 // classify (wrong width, unknown item ids).
@@ -484,18 +320,6 @@ func (e shapeError) Error() string { return string(e) }
 
 func (s *Server) lookupModel(w http.ResponseWriter, r *http.Request, name string) (*servedModel, bool) {
 	s.mu.RLock()
-	if name == "" {
-		// A single-model server does not need the name spelled out.
-		if len(s.models) == 1 {
-			for _, m := range s.models {
-				s.mu.RUnlock()
-				return m, true
-			}
-		}
-		s.mu.RUnlock()
-		writeError(w, http.StatusBadRequest, "model name required")
-		return nil, false
-	}
 	m, ok := s.models[name]
 	s.mu.RUnlock()
 	if !ok {

@@ -24,7 +24,8 @@ type InlineDataset struct {
 	// Classes are the class names; row labels index into them.
 	Classes []string `json:"classes"`
 	// Items optionally names the item universe; NumItems sizes it
-	// anonymously. Omitting both sizes the universe from the rows.
+	// anonymously. Omitting both sizes the universe from the rows. The
+	// universe may hold at most dataset.MaxItems items.
 	Items    []string    `json:"items,omitempty"`
 	NumItems int         `json:"numItems,omitempty"`
 	Rows     []InlineRow `json:"rows"`
@@ -46,9 +47,15 @@ func (in *InlineDataset) toDataset() (*dataset.Dataset, error) {
 	if len(in.Items) > 0 {
 		numItems = len(in.Items)
 	}
+	if numItems > dataset.MaxItems {
+		return nil, fmt.Errorf("%d items exceed the %d-item cap", numItems, dataset.MaxItems)
+	}
 	if numItems == 0 {
 		for _, r := range in.Rows {
 			for _, it := range r.Items {
+				if it >= dataset.MaxItems {
+					return nil, fmt.Errorf("item id %d beyond the %d-item cap", it, dataset.MaxItems)
+				}
 				if it >= numItems {
 					numItems = it + 1
 				}

@@ -161,7 +161,7 @@ func TestJobLifecycleE2E(t *testing.T) {
 	for r := 0; r < d.NumRows(); r++ {
 		wantLabel, _ := ref.Predict(d.RowItemSet(r))
 		body, _ := json.Marshal(ClassifyRequest{Model: "hot", Items: d.Rows[r]})
-		rec := postJSON(t, s, "/v1/classify", string(body))
+		rec := postJSON(t, s, "/v1/models/hot/classify", string(body))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("classify row %d: status %d: %s", r, rec.Code, rec.Body)
 		}
@@ -232,6 +232,10 @@ func TestJobHTTPErrors(t *testing.T) {
 		{"unknown dataset", `{"kind":"mine","dataset":"nope"}`, http.StatusNotFound},
 		{"bad kind", `{"kind":"optimize","dataset":"running-example"}`, http.StatusUnprocessableEntity},
 		{"bad inline rows", `{"kind":"mine","data":{"classes":["only"],"rows":[{"items":[0],"label":0}]}}`, http.StatusUnprocessableEntity},
+		// Universes past dataset.MaxItems: the server must refuse them,
+		// not allocate 2^40 items.
+		{"inline item id past the cap", `{"kind":"mine","data":{"classes":["a","b"],"rows":[{"items":[1099511627776],"label":0},{"items":[1],"label":1}]}}`, http.StatusUnprocessableEntity},
+		{"inline numItems past the cap", `{"kind":"mine","data":{"classes":["a","b"],"numItems":1099511627776,"rows":[{"items":[0],"label":0},{"items":[1],"label":1}]}}`, http.StatusUnprocessableEntity},
 		{"unknown field", `{"kind":"mine","dataset":"running-example","frobnicate":1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -338,7 +342,7 @@ func TestJobRestartServing(t *testing.T) {
 
 	d, _ := dataset.RunningExample()
 	body, _ := json.Marshal(ClassifyRequest{Model: "survivor", Items: d.Rows[0]})
-	if rec := postJSON(t, s2, "/v1/classify", string(body)); rec.Code != http.StatusOK {
+	if rec := postJSON(t, s2, "/v1/models/survivor/classify", string(body)); rec.Code != http.StatusOK {
 		t.Fatalf("classify after restart: status %d: %s", rec.Code, rec.Body)
 	}
 }

@@ -5,83 +5,59 @@ import (
 	"sync"
 
 	"repro/internal/bitset"
+	"repro/internal/dataset"
 	"repro/internal/rcbt"
 )
 
 // servedModel is a model plus the per-model serving state the read
-// path needs: the prediction cache, a pool of rule-major batch scorers
-// (one per in-flight batch — a BatchScorer is single-threaded), and a
-// pool of discretized-row bitsets so steady-state requests allocate no
-// row storage.
-//
-// Models without a fixed item universe (classifier-only envelopes with
-// NumItems == 0) get none of this: their row universe is inferred per
-// request, so rows are not poolable, cache keys are not comparable,
-// and the batch kernel has no view to build. They fall back to the
-// scalar per-row path.
+// path needs: the prediction cache and a pool of discretized-row
+// bitsets, so steady-state requests allocate no row storage.
 type servedModel struct {
 	model *rcbt.Model
-	cache *predictCache // nil when disabled or no fixed universe
-	batch bool          // rule-major kernel available
-
-	scorers sync.Pool // *rcbt.BatchScorer
-	rows    sync.Pool // *bitset.Set over the model universe
+	cache *predictCache
+	rows  sync.Pool // *bitset.Set over the model universe
 }
 
-func newServedModel(m *rcbt.Model, cacheSize int) *servedModel {
-	sm := &servedModel{model: m}
-	if m.NumItems <= 0 {
-		return sm
-	}
-	if cacheSize > 0 {
-		sm.cache = newPredictCache(cacheSize)
-	}
+func newServedModel(m *rcbt.Model) *servedModel {
+	sm := &servedModel{model: m, cache: newPredictCache(DefaultCacheSize)}
 	sm.rows.New = func() any { return bitset.New(m.NumItems) }
-	// Probe the kernel: NewBatchScorer panics when a rule antecedent
-	// indexes outside the declared universe (a corrupt envelope). Such
-	// a model still serves — on the scalar path, where the same rows
-	// simply never match the out-of-universe rules' antecedents.
-	func() {
-		defer func() {
-			sm.batch = recover() == nil
-		}()
-		sm.scorers.Put(rcbt.NewBatchScorer(m.Classifier, m.NumItems))
-	}()
-	if sm.batch {
-		sm.scorers.New = func() any { return rcbt.NewBatchScorer(m.Classifier, m.NumItems) }
-	}
 	return sm
 }
 
-// rowSet converts one request row (the values/items one-of) into a
-// pooled bitset over the model universe; return it with putRow. Only
-// valid for models with a fixed universe.
-func (sm *servedModel) rowSet(values []float64, items []int) (*bitset.Set, error) {
+// classify labels one request row (the values/items one-of) and is the
+// only code in the package that does. The row is discretized into a
+// pooled bitset over the model universe and looked up in the
+// prediction cache; a miss walks the classifier's rules
+// (Classifier.Predict) and memoizes the answer.
+func (sm *servedModel) classify(values []float64, items []int) (dataset.Label, int, error) {
 	m := sm.model
 	switch {
 	case len(values) > 0 && len(items) > 0:
-		return nil, shapeError("set exactly one of values or items, not both")
+		return -1, -1, shapeError("set exactly one of values or items, not both")
 	case len(values) > 0:
 		if m.Discretizer == nil {
-			return nil, fmt.Errorf("rcbt: model has no discretizer; classify by item ids instead")
+			return -1, -1, fmt.Errorf("rcbt: model has no discretizer; classify by item ids instead")
 		}
 		if got, want := len(values), len(m.Discretizer.GeneNames); got != want {
-			return nil, fmt.Errorf("rcbt: row has %d values, model fitted on %d genes", got, want)
+			return -1, -1, fmt.Errorf("rcbt: row has %d values, model fitted on %d genes", got, want)
 		}
 		items = m.Discretizer.RowItems(values)
 	case len(items) == 0:
-		return nil, shapeError("set one of values or items")
+		return -1, -1, shapeError("set one of values or items")
 	}
-	set := sm.rows.Get().(*bitset.Set)
-	set.Clear()
+	row := sm.rows.Get().(*bitset.Set)
+	defer sm.rows.Put(row)
+	row.Clear()
 	for _, it := range items {
 		if it < 0 || it >= m.NumItems {
-			sm.putRow(set)
-			return nil, fmt.Errorf("rcbt: item id %d outside model universe [0,%d)", it, m.NumItems)
+			return -1, -1, fmt.Errorf("rcbt: item id %d outside model universe [0,%d)", it, m.NumItems)
 		}
-		set.Add(it)
+		row.Add(it)
 	}
-	return set, nil
+	if label, idx, ok := sm.cache.get(row); ok {
+		return label, idx, nil
+	}
+	label, idx := m.Classifier.Predict(row)
+	sm.cache.put(row, label, idx)
+	return label, idx, nil
 }
-
-func (sm *servedModel) putRow(set *bitset.Set) { sm.rows.Put(set) }

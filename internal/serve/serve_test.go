@@ -72,28 +72,12 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-func postJSONRaw(t *testing.T, s *Server, path, body string) *httptest.ResponseRecorder {
+func postJSON(t *testing.T, s *Server, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
-	return rec
-}
-
-// postJSON posts and follows a single 308 hop the way a real client
-// re-sends the body — so every legacy-path test exercises both the
-// redirect and the resource route it lands on.
-func postJSON(t *testing.T, s *Server, path, body string) *httptest.ResponseRecorder {
-	t.Helper()
-	rec := postJSONRaw(t, s, path, body)
-	if rec.Code == http.StatusPermanentRedirect {
-		loc := rec.Header().Get("Location")
-		if loc == "" {
-			t.Fatalf("308 from %s without a Location header", path)
-		}
-		rec = postJSONRaw(t, s, loc, body)
-	}
 	return rec
 }
 
@@ -103,6 +87,11 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Models: map[string]*rcbt.Model{"m": nil}}); err == nil {
 		t.Fatal("New with nil model must fail")
+	}
+	// No discretizer and no item universe: no row could be classified.
+	bare := &rcbt.Model{Classifier: rcbt.ConstantClassifier(0, 2)}
+	if _, err := New(Config{Models: map[string]*rcbt.Model{"m": bare}}); err == nil {
+		t.Fatal("New with a model without an item universe must fail")
 	}
 }
 
@@ -114,7 +103,7 @@ func TestClassifyMatchesInProcessPredict(t *testing.T) {
 	for r := 0; r < d.NumRows(); r++ {
 		wantLabel, wantIdx := m.Classifier.Predict(d.RowItemSet(r))
 		body, _ := json.Marshal(ClassifyRequest{Model: "example", Items: d.Rows[r]})
-		rec := postJSON(t, s, "/v1/classify", string(body))
+		rec := postJSON(t, s, "/v1/models/example/classify", string(body))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("row %d: status %d: %s", r, rec.Code, rec.Body)
 		}
@@ -141,7 +130,7 @@ func TestClassifyValuesMatchesInProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 		body, _ := json.Marshal(ClassifyRequest{Model: "synth", Values: testM.Values[r]})
-		rec := postJSON(t, s, "/v1/classify", string(body))
+		rec := postJSON(t, s, "/v1/models/synth/classify", string(body))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("row %d: status %d: %s", r, rec.Code, rec.Body)
 		}
@@ -157,27 +146,31 @@ func TestClassifyValuesMatchesInProcess(t *testing.T) {
 
 func TestClassifyErrors(t *testing.T) {
 	s := newTestServer(t, Config{Models: map[string]*rcbt.Model{"example": exampleModel(t)}})
+	const route = "/v1/models/example/classify"
 	for name, tc := range map[string]struct {
-		body string
-		code int
+		path, body string
+		code       int
 	}{
-		"malformed json":     {`{"model": "example", "items": [`, http.StatusBadRequest},
-		"unknown field":      {`{"model": "example", "rows": []}`, http.StatusBadRequest},
-		"no row":             {`{"model": "example"}`, http.StatusBadRequest},
-		"both values+items":  {`{"model": "example", "items": [0], "values": [1.0]}`, http.StatusBadRequest},
-		"unknown model":      {`{"model": "nope", "items": [0]}`, http.StatusNotFound},
-		"item out of range":  {`{"model": "example", "items": [9999]}`, http.StatusUnprocessableEntity},
-		"values without dz":  {`{"model": "example", "values": [1.0, 2.0]}`, http.StatusUnprocessableEntity},
-		"method not allowed": {``, http.StatusMethodNotAllowed},
+		"malformed json":    {route, `{"model": "example", "items": [`, http.StatusBadRequest},
+		"unknown field":     {route, `{"model": "example", "rows": []}`, http.StatusBadRequest},
+		"no row":            {route, `{"model": "example"}`, http.StatusBadRequest},
+		"both values+items": {route, `{"model": "example", "items": [0], "values": [1.0]}`, http.StatusBadRequest},
+		"unknown model":     {"/v1/models/nope/classify", `{"model": "nope", "items": [0]}`, http.StatusNotFound},
+		// A body naming another model than the path is rejected, not
+		// silently re-routed.
+		"model mismatch":     {"/v1/models/other/classify", `{"model": "example", "items": [0]}`, http.StatusBadRequest},
+		"item out of range":  {route, `{"model": "example", "items": [9999]}`, http.StatusUnprocessableEntity},
+		"values without dz":  {route, `{"model": "example", "values": [1.0, 2.0]}`, http.StatusUnprocessableEntity},
+		"method not allowed": {route, ``, http.StatusMethodNotAllowed},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var rec *httptest.ResponseRecorder
 			if name == "method not allowed" {
-				req := httptest.NewRequest(http.MethodGet, "/v1/classify", nil)
+				req := httptest.NewRequest(http.MethodGet, tc.path, nil)
 				rec = httptest.NewRecorder()
 				s.ServeHTTP(rec, req)
 			} else {
-				rec = postJSON(t, s, "/v1/classify", tc.body)
+				rec = postJSON(t, s, tc.path, tc.body)
 			}
 			if rec.Code != tc.code {
 				t.Fatalf("status %d, want %d: %s", rec.Code, tc.code, rec.Body)
@@ -188,10 +181,7 @@ func TestClassifyErrors(t *testing.T) {
 
 func TestBatchClassify(t *testing.T) {
 	m := exampleModel(t)
-	s := newTestServer(t, Config{
-		Models:       map[string]*rcbt.Model{"example": m},
-		BatchWorkers: 3,
-	})
+	s := newTestServer(t, Config{Models: map[string]*rcbt.Model{"example": m}})
 	d, _ := dataset.RunningExample()
 	req := BatchRequest{Model: "example"}
 	for r := 0; r < d.NumRows(); r++ {
@@ -201,7 +191,7 @@ func TestBatchClassify(t *testing.T) {
 	req.Rows = append(req.Rows, BatchRow{Items: []int{12345}})
 
 	body, _ := json.Marshal(req)
-	rec := postJSON(t, s, "/v1/classify/batch", string(body))
+	rec := postJSON(t, s, "/v1/models/example/classify/batch", string(body))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -230,7 +220,7 @@ func TestBatchTooLarge(t *testing.T) {
 		MaxBatch: 2,
 	})
 	body := `{"model": "example", "rows": [{"items":[0]},{"items":[0]},{"items":[0]}]}`
-	rec := postJSON(t, s, "/v1/classify/batch", body)
+	rec := postJSON(t, s, "/v1/models/example/classify/batch", body)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
 	}
@@ -241,7 +231,7 @@ func TestRequestDeadlineExceeded(t *testing.T) {
 		Models:         map[string]*rcbt.Model{"example": exampleModel(t)},
 		RequestTimeout: time.Nanosecond,
 	})
-	rec := postJSON(t, s, "/v1/classify", `{"model": "example", "items": [0]}`)
+	rec := postJSON(t, s, "/v1/models/example/classify", `{"model": "example", "items": [0]}`)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body)
 	}
@@ -292,12 +282,12 @@ func TestMetricsExposition(t *testing.T) {
 	// Generate traffic: successes, a 400 and a 404.
 	for r := 0; r < d.NumRows(); r++ {
 		body, _ := json.Marshal(ClassifyRequest{Model: "example", Items: d.Rows[r]})
-		if rec := postJSON(t, s, "/v1/classify", string(body)); rec.Code != http.StatusOK {
+		if rec := postJSON(t, s, "/v1/models/example/classify", string(body)); rec.Code != http.StatusOK {
 			t.Fatalf("warmup status %d", rec.Code)
 		}
 	}
-	postJSON(t, s, "/v1/classify", `{`)
-	postJSON(t, s, "/v1/classify", `{"model": "nope", "items": [0]}`)
+	postJSON(t, s, "/v1/models/example/classify", `{`)
+	postJSON(t, s, "/v1/models/nope/classify", `{"model": "nope", "items": [0]}`)
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rec := httptest.NewRecorder()
@@ -307,15 +297,13 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	text := rec.Body.String()
 	for _, want := range []string{
-		// Every legacy post is two requests: a 308 on the old path, then
-		// the real work on the resource route — whose model-name segment
-		// is collapsed to {name} so the label set stays bounded.
-		fmt.Sprintf(`rcbtserved_requests_total{path="/v1/classify",code="308"} %d`, d.NumRows()+2),
+		// The model-name segment is collapsed to {name} so the label set
+		// stays bounded.
 		fmt.Sprintf(`rcbtserved_requests_total{path="/v1/models/{name}/classify",code="200"} %d`, d.NumRows()),
 		`rcbtserved_requests_total{path="/v1/models/{name}/classify",code="400"} 1`,
 		`rcbtserved_requests_total{path="/v1/models/{name}/classify",code="404"} 1`,
 		`rcbtserved_predictions_total{model="example",class="C"}`,
-		fmt.Sprintf(`rcbtserved_request_seconds_count %d`, 2*(d.NumRows()+2)),
+		fmt.Sprintf(`rcbtserved_request_seconds_count %d`, d.NumRows()+2),
 		// The scrape itself is the one in-flight request.
 		`rcbtserved_in_flight 1`,
 		`# TYPE rcbtserved_request_seconds histogram`,
@@ -323,36 +311,6 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, text)
 		}
-	}
-}
-
-// TestLegacyRedirect pins the one-release compatibility contract: the
-// pre-resource classify paths answer 308 with the model-scoped
-// location (resolved from the body, or the single served model) and a
-// Deprecation header.
-func TestLegacyRedirect(t *testing.T) {
-	s := newTestServer(t, Config{Models: map[string]*rcbt.Model{"example": exampleModel(t)}})
-	rec := postJSONRaw(t, s, "/v1/classify", `{"model": "example", "items": [0]}`)
-	if rec.Code != http.StatusPermanentRedirect {
-		t.Fatalf("status %d, want 308: %s", rec.Code, rec.Body)
-	}
-	if loc := rec.Header().Get("Location"); loc != "/v1/models/example/classify" {
-		t.Fatalf("Location = %q", loc)
-	}
-	if rec.Header().Get("Deprecation") == "" {
-		t.Error("redirect is missing the Deprecation header")
-	}
-	// A single-model server resolves a nameless legacy body.
-	rec = postJSONRaw(t, s, "/v1/classify/batch", `{"rows": [{"items":[0]}]}`)
-	if rec.Code != http.StatusPermanentRedirect ||
-		rec.Header().Get("Location") != "/v1/models/example/classify/batch" {
-		t.Fatalf("nameless batch redirect: %d %q", rec.Code, rec.Header().Get("Location"))
-	}
-	// Body/path mismatch on the resource route is rejected, not silently
-	// re-routed.
-	rec = postJSONRaw(t, s, "/v1/models/other/classify", `{"model": "example", "items": [0]}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("mismatched model: status %d, want 400", rec.Code)
 	}
 }
 
@@ -370,7 +328,7 @@ func TestErrorEnvelope(t *testing.T) {
 		"unprocessable": {"/v1/models/example/classify", `{"items": [9999]}`, http.StatusUnprocessableEntity, "unprocessable"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			rec := postJSONRaw(t, s, tc.path, tc.body)
+			rec := postJSON(t, s, tc.path, tc.body)
 			if rec.Code != tc.status {
 				t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body)
 			}
@@ -440,7 +398,7 @@ func TestModelPullOnMiss(t *testing.T) {
 	})
 	d, _ := dataset.RunningExample()
 	body, _ := json.Marshal(ClassifyRequest{Items: d.Rows[0]})
-	rec := postJSONRaw(t, replica, "/v1/models/shared/classify", string(body))
+	rec := postJSON(t, replica, "/v1/models/shared/classify", string(body))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("pull-on-miss classify: %d %s", rec.Code, rec.Body)
 	}
@@ -474,7 +432,7 @@ func TestModelPullOnMiss(t *testing.T) {
 	if len(names) != 2 || names[1] != "shared" {
 		t.Fatalf("replica models = %v, want [local shared]", names)
 	}
-	rec = postJSONRaw(t, replica, "/v1/models/shared/classify", string(body))
+	rec = postJSON(t, replica, "/v1/models/shared/classify", string(body))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-pull classify: %d %s", rec.Code, rec.Body)
 	}
@@ -499,7 +457,7 @@ func TestCheckedInFixtureServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := postJSON(t, s, "/v1/classify", string(reqBody))
+	rec := postJSON(t, s, "/v1/models/fixture/classify", string(reqBody))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("fixture classify: %d %s", rec.Code, rec.Body)
 	}
@@ -529,7 +487,7 @@ func TestServedModelFromEnvelopeRoundTrip(t *testing.T) {
 	for r := 0; r < d.NumRows(); r++ {
 		want, _ := m.Classifier.Predict(d.RowItemSet(r))
 		body, _ := json.Marshal(ClassifyRequest{Model: "example", Items: d.Rows[r]})
-		rec := postJSON(t, s, "/v1/classify", string(body))
+		rec := postJSON(t, s, "/v1/models/example/classify", string(body))
 		var resp ClassifyResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
@@ -537,5 +495,59 @@ func TestServedModelFromEnvelopeRoundTrip(t *testing.T) {
 		if resp.Label != int(want) {
 			t.Fatalf("row %d: served %d, want %d", r, resp.Label, want)
 		}
+	}
+}
+
+// TestClassifierOnlyEnvelopeServes: an envelope written by
+// Classifier.Save has no numItems and no discretizer. LoadModel sizes
+// its universe from the rules, and both classify routes serve it on the
+// same cached path as every other model.
+func TestClassifierOnlyEnvelopeServes(t *testing.T) {
+	m := exampleModel(t)
+	var buf bytes.Buffer
+	if err := m.Classifier.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := rcbt.LoadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Models: map[string]*rcbt.Model{"bare": loaded}})
+	d, _ := dataset.RunningExample()
+	var batch BatchRequest
+	for r := 0; r < d.NumRows(); r++ {
+		// No rule names an item past the universe, so dropping those
+		// items cannot change the label.
+		var items []int
+		for _, it := range d.Rows[r] {
+			if it < loaded.NumItems {
+				items = append(items, it)
+			}
+		}
+		batch.Rows = append(batch.Rows, BatchRow{Items: items})
+		want, wantIdx := m.Classifier.Predict(d.RowItemSet(r))
+		body, _ := json.Marshal(ClassifyRequest{Items: items})
+		rec := postJSON(t, s, "/v1/models/bare/classify", string(body))
+		var resp ClassifyResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil ||
+			resp.Label != int(want) || resp.Classifier != wantIdx {
+			t.Fatalf("row %d: %d %s, want label %d from classifier %d", r, rec.Code, rec.Body, want, wantIdx)
+		}
+	}
+	body, _ := json.Marshal(batch)
+	rec := postJSON(t, s, "/v1/models/bare/classify/batch", string(body))
+	var resp BatchResponse
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || len(resp.Results) != d.NumRows() {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body)
+	}
+	for r, got := range resp.Results {
+		want, wantIdx := m.Classifier.Predict(d.RowItemSet(r))
+		if got.Label != int(want) || got.Classifier != wantIdx {
+			t.Fatalf("batch row %d: (%d,%d), want (%d,%d)", r, got.Label, got.Classifier, want, wantIdx)
+		}
+	}
+	rec = postJSON(t, s, "/v1/models/bare/classify", fmt.Sprintf(`{"items": [%d]}`, loaded.NumItems))
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("item id at the universe: status %d, want 422: %s", rec.Code, rec.Body)
 	}
 }

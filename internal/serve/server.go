@@ -21,10 +21,10 @@
 // Job submissions reference datastore datasets as "{name}" (latest
 // snapshot) or "{name}@{v}" (pinned version; 409 once pruned).
 //
-// The pre-resource paths POST /v1/classify and POST /v1/classify/batch
-// answer with 308 redirects onto the model-scoped routes for one
-// release. Every error body is the unified envelope
-// {"error":{"code","message"}}.
+// Both classify routes label each row the same way: the row is
+// discretized, looked up in the model's prediction cache, and on a miss
+// walked through the classifier's rules. Every error body is the
+// unified envelope {"error":{"code","message"}}.
 //
 // With Config.Peers set, a model lookup that misses locally pulls the
 // envelope from the first peer replica that has it (GET
@@ -57,7 +57,6 @@ import (
 const (
 	DefaultRequestTimeout = 5 * time.Second
 	DefaultMaxBatch       = 1024
-	DefaultBatchWorkers   = 4
 	// DefaultRefreshAfter is the auto-refresh debounce: how long a
 	// dataset's appends must go quiet before a re-train job fires.
 	DefaultRefreshAfter = 150 * time.Millisecond
@@ -110,18 +109,10 @@ type Config struct {
 	// expires mid-request the response is 504 Gateway Timeout.
 	RequestTimeout time.Duration
 
-	// MaxBatch caps the rows accepted by /v1/classify/batch; larger
-	// requests are rejected with 413 before any work happens.
+	// MaxBatch caps the rows accepted by
+	// /v1/models/{name}/classify/batch; larger requests are rejected
+	// with 413 before any work happens.
 	MaxBatch int
-
-	// BatchWorkers bounds the goroutines classifying one batch on the
-	// scalar fallback path (models without a fixed item universe).
-	BatchWorkers int
-
-	// CacheSize caps each model's prediction cache (classifications
-	// memoized by discretized row). 0 means DefaultCacheSize; a
-	// negative value disables caching.
-	CacheSize int
 
 	// Logger receives one INFO record per request. nil disables
 	// request logging.
@@ -138,17 +129,15 @@ type Config struct {
 
 // Server is an http.Handler serving the classification API.
 type Server struct {
-	mu        sync.RWMutex // guards models: train jobs register into a live server
-	models    map[string]*servedModel
-	jobs      *jobs.Manager
-	datasets  map[string]NamedDataset
-	timeout   time.Duration
-	maxB      int
-	workers   int
-	cacheSize int
-	logger    *slog.Logger
-	metrics   *metrics
-	mux       *http.ServeMux
+	mu       sync.RWMutex // guards models: train jobs register into a live server
+	models   map[string]*servedModel
+	jobs     *jobs.Manager
+	datasets map[string]NamedDataset
+	timeout  time.Duration
+	maxB     int
+	logger   *slog.Logger
+	metrics  *metrics
+	mux      *http.ServeMux
 
 	store       *datastore.Store
 	refresher   *jobs.Refresher
@@ -167,28 +156,20 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("serve: no models configured and no jobs manager")
 	}
 	s := &Server{
-		models:    make(map[string]*servedModel, len(cfg.Models)),
-		jobs:      cfg.Jobs,
-		datasets:  cfg.Datasets,
-		store:     cfg.Store,
-		timeout:   cfg.RequestTimeout,
-		maxB:      cfg.MaxBatch,
-		workers:   cfg.BatchWorkers,
-		cacheSize: cfg.CacheSize,
-		logger:    cfg.Logger,
-		metrics:   newMetrics(),
+		models:   make(map[string]*servedModel, len(cfg.Models)),
+		jobs:     cfg.Jobs,
+		datasets: cfg.Datasets,
+		store:    cfg.Store,
+		timeout:  cfg.RequestTimeout,
+		maxB:     cfg.MaxBatch,
+		logger:   cfg.Logger,
+		metrics:  newMetrics(),
 	}
 	if s.timeout == 0 {
 		s.timeout = DefaultRequestTimeout
 	}
 	if s.maxB == 0 {
 		s.maxB = DefaultMaxBatch
-	}
-	if s.workers <= 0 {
-		s.workers = DefaultBatchWorkers
-	}
-	if s.cacheSize == 0 {
-		s.cacheSize = DefaultCacheSize
 	}
 	if len(cfg.Peers) > 0 {
 		s.peers = append([]string(nil), cfg.Peers...)
@@ -208,11 +189,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/models/{name}/classify/batch", s.handleBatchModel)
 	s.mux.HandleFunc("GET /v1/models", s.handleModels)
 	s.mux.HandleFunc("GET /v1/models/{name}", s.handleModelGet)
-	// Pre-resource paths: one release of permanent redirects. 308
-	// preserves the method and body, so clients land on the new route
-	// with the original request intact.
-	s.mux.HandleFunc("POST /v1/classify", s.redirectLegacyClassify(""))
-	s.mux.HandleFunc("POST /v1/classify/batch", s.redirectLegacyClassify("/batch"))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.jobs != nil {
@@ -249,7 +225,8 @@ func New(cfg Config) (*Server, error) {
 // already classifying against a replaced model finish on the old one.
 // The replacement carries a fresh prediction cache, so a hot-swap
 // empties the name's cached classifications — the old model's labels
-// can never leak through the new model.
+// can never leak through the new model. A model without a discretizer
+// must have an item universe (NumItems > 0) for item-id rows to index.
 func (s *Server) RegisterModel(name string, m *rcbt.Model) error {
 	if name == "" {
 		return errors.New("serve: empty model name")
@@ -257,7 +234,10 @@ func (s *Server) RegisterModel(name string, m *rcbt.Model) error {
 	if m == nil || m.Classifier == nil {
 		return fmt.Errorf("serve: model %q has no classifier", name)
 	}
-	sm := newServedModel(m, s.cacheSize)
+	if m.NumItems < 0 || (m.NumItems == 0 && m.Discretizer == nil) {
+		return fmt.Errorf("serve: model %q has no item universe", name)
+	}
+	sm := newServedModel(m)
 	s.mu.Lock()
 	s.models[name] = sm
 	s.mu.Unlock()
