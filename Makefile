@@ -75,7 +75,8 @@ serve:
 	$(GO) run ./cmd/rcbtserved -model fixture=internal/serve/testdata/model.json -addr :8344
 
 # Short fuzzing sessions over the dataset parsers, the bit-set algebra,
-# the discretizer and the model envelope decoder.
+# the discretizer, the model envelope decoder and FindLB against its
+# reference search.
 fuzz:
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzReadDataset -fuzztime 30s ./internal/dataset/
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFusedOps -fuzztime 30s ./internal/bitset/
 	$(GO) test -fuzz FuzzDiscretize -fuzztime 30s ./internal/discretize/
 	$(GO) test -fuzz FuzzLoadModel -fuzztime 30s ./internal/rcbt/
+	$(GO) test -fuzz FuzzFind -fuzztime 30s ./internal/lowerbound/
 
 clean:
 	rm -f test_output.txt bench_output.txt

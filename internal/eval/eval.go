@@ -34,8 +34,9 @@ type Options struct {
 	// LBMaxLen / LBMaxCandidates bound lower-bound searches.
 	LBMaxLen        int
 	LBMaxCandidates int
-	// Workers is how many classes RCBT training mines at once (0 or 1
-	// = one at a time; accuracy is unaffected, only training wall time).
+	// Workers bounds RCBT training's goroutines: classes mined and
+	// FindLB searches run at once (0 or 1 = one at a time; accuracy is
+	// unaffected, only training wall time).
 	Workers int
 	// Skip disables named classifiers (keys of Result.Accuracy).
 	Skip map[string]bool

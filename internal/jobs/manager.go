@@ -25,8 +25,8 @@ type Config struct {
 	// model envelopes under DataDir/models.
 	DataDir string
 	// Workers is the pool size (0 = 2). Each worker runs one job at a
-	// time; a train job's own Spec.Workers sets how many of its classes
-	// are mined at once inside that slot.
+	// time; a train job's own Spec.Workers bounds the goroutines its
+	// training uses inside that slot.
 	Workers int
 	// QueueDepth caps jobs waiting for a worker (0 = 64). Submissions
 	// past the cap fail with ErrQueueFull.

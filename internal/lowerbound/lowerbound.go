@@ -13,6 +13,8 @@
 package lowerbound
 
 import (
+	"context"
+	"encoding/binary"
 	"math"
 	"runtime"
 	"sort"
@@ -33,17 +35,69 @@ type Config struct {
 	MaxLen int
 	// MaxCandidates bounds the number of candidates examined, so
 	// adversarial groups cannot blow up classifier construction;
-	// 0 means the default of 1<<20.
+	// 0 means the default of 1<<20. The search stores only examined
+	// candidates, so it also bounds the search's memory.
 	MaxCandidates int
 	// ItemScore ranks items for the breadth-first order (higher =
 	// examined earlier, Step 1 of FindLB). When nil, items are scored by
 	// the information gain of their presence against the class labels.
 	ItemScore []float64
+	// Workers bounds how many groups FindAll and FindAllContext search
+	// at once; 0 means GOMAXPROCS. Find ignores it.
+	Workers int
 }
 
 // Find returns up to cfg.NL shortest lower-bound rules of group g over
 // dataset d, most discriminant item combinations first.
 func Find(d *dataset.Dataset, g *rules.Group, cfg Config) []*rules.Rule {
+	var s search
+	return s.find(d, g, cfg, nil)
+}
+
+// search is the scratch of one FindLB search. A FindAll worker reuses
+// one search for all of its groups, so its slabs grow once per worker
+// rather than once per group.
+//
+// The search renumbers the group's m outside rows 0..m-1 and stores
+// each row set over them as w = ⌈m/64⌉ words.
+type search struct {
+	outside *bitset.Set // rows outside the group, in dataset numbering
+	missing *bitset.Set // the outside rows one item is missing from
+	pos     []uint32    // pos[r] = the renumbered index of outside row r
+	rows    []int       // the rows of outside or missing
+	w       int
+	last    uint64 // the used bits of a row set's last word
+
+	ranked  []int            // the upper bound's items in rank order
+	kill    []uint64         // the kill set of the item being classified
+	key     []byte           // kill as a map key
+	classOf map[string]int32 // kill set → class
+	kills   []uint64         // class j's kill set: kills[j*w : (j+1)*w]
+	members [][]int          // class j's items, in rank order
+
+	cur, next level
+	exact     []uint64 // rows killed by exactly one class of a cover
+	cand      []int32  // the cover being emitted
+	choice    []int    // emit's odometer over class members
+}
+
+// level holds the stored candidates of one BFS level: candidate i of
+// size L is the class list idx[i*L : (i+1)*L] with kill union
+// cover[i*w : (i+1)*w].
+type level struct {
+	n     int
+	idx   []int32
+	cover []uint64
+}
+
+// stopPoll is how many examined candidates pass between polls of the
+// done channel.
+const stopPoll = 1 << 12
+
+// find is Find on s's scratch. Once done is closed it returns at its
+// next poll with the lower bounds found so far; a nil done never
+// closes.
+func (s *search) find(d *dataset.Dataset, g *rules.Group, cfg Config, done <-chan struct{}) []*rules.Rule {
 	if cfg.NL <= 0 {
 		return nil
 	}
@@ -51,167 +105,281 @@ func Find(d *dataset.Dataset, g *rules.Group, cfg Config) []*rules.Rule {
 	if budget <= 0 {
 		budget = 1 << 20
 	}
-
-	// Outside rows: rows not in the group's support set.
-	outside := g.Rows.Clone()
-	flip := bitset.New(d.NumRows())
-	flip.Fill()
-	outside = flip.Difference(outside)
-
-	mkRule := func(ant []int) *rules.Rule {
-		sorted := append([]int(nil), ant...)
-		sort.Ints(sorted)
-		return &rules.Rule{
-			Antecedent: sorted,
-			Class:      g.Class,
-			Support:    g.Support,
-			Confidence: g.Confidence,
-		}
-	}
-
 	// Degenerate group covering every row: the empty rule is its only
 	// lower bound.
-	if outside.IsEmpty() {
-		return []*rules.Rule{mkRule(nil)}
+	if !s.setup(d, g, cfg.ItemScore) {
+		return []*rules.Rule{lowerBound(g, nil)}
 	}
-
-	// Step 1: rank the upper bound's items by descending score.
-	ranked := append([]int(nil), g.Antecedent...)
-	score := cfg.ItemScore
-	if score == nil {
-		score = DefaultItemScores(d)
-	}
-	sort.SliceStable(ranked, func(a, b int) bool { return score[ranked[a]] > score[ranked[b]] })
-
-	// Group items by identical kill sets. Correlated gene intervals
-	// share kill sets, and any two same-kill items are interchangeable
-	// in every cover, so the search runs over one representative per
-	// class and substitutions are expanded afterwards. This is what
-	// keeps FindLB tractable on block-correlated expression data.
-	type itemClass struct {
-		items []int // rank order within the class
-		kill  *bitset.Set
-	}
-	var classes []itemClass
-	classOf := map[string]int{}
-	for _, it := range ranked {
-		k := outside.Difference(d.ItemRows(it))
-		if k.IsEmpty() {
-			continue // kills nothing: never part of a minimal cover
-		}
-		key := k.Key()
-		ci, ok := classOf[key]
-		if !ok {
-			ci = len(classes)
-			classOf[key] = ci
-			classes = append(classes, itemClass{kill: k})
-		}
-		classes[ci].items = append(classes[ci].items, it)
-	}
-	kills := make([]*bitset.Set, len(classes))
-	for j := range classes {
-		kills[j] = classes[j].kill
-	}
-
-	// emit expands a minimal representative cover into concrete lower
-	// bounds by substituting class members in rank order, until nl rules
-	// are produced. It reports whether the nl quota is filled.
-	var found []*rules.Rule
-	emit := func(idx []int) bool {
-		choice := make([]int, len(idx))
-		var rec func(pos int) bool
-		rec = func(pos int) bool {
-			if pos == len(idx) {
-				ant := make([]int, len(idx))
-				for i, j := range idx {
-					ant[i] = classes[j].items[choice[i]]
-				}
-				found = append(found, mkRule(ant))
-				return len(found) >= cfg.NL
-			}
-			for c := range classes[idx[pos]].items {
-				choice[pos] = c
-				if rec(pos + 1) {
-					return true
-				}
-			}
-			return false
-		}
-		return rec(0)
-	}
+	nc, w := int32(len(s.members)), s.w
 
 	// Step 2: BFS over ranked class combinations by increasing size. A
 	// candidate is a lower bound iff its kill union covers all outside
 	// rows and removing any single class breaks coverage (minimality).
-	type cand struct {
-		idx   []int       // indices into classes
-		cover *bitset.Set // union of kills
-	}
-	level := make([]cand, 0, len(classes))
-	for j := range classes {
-		level = append(level, cand{idx: []int{j}, cover: kills[j]})
-	}
-
+	// Supersets of a cover are never minimal, so only non-covering
+	// candidates are stored, as the parents of the next level. A level
+	// is expanded lazily from its parents, each child examined as it is
+	// generated, so nothing past a filled quota or an exhausted budget
+	// is built, and at most MaxCandidates candidates are ever stored.
+	// The first level holds the single classes, the children of the
+	// empty candidate.
+	var found []*rules.Rule
 	examined := 0
-	size := 1
-	for len(level) > 0 && len(found) < cfg.NL {
+	s.cur = level{n: 1, idx: s.cur.idx[:0], cover: grow(s.cur.cover, w)}
+	for size := 1; s.cur.n > 0; size++ {
 		if cfg.MaxLen > 0 && size > cfg.MaxLen {
 			break
 		}
-		var next []cand
-		for _, c := range level {
-			examined++
-			if examined > budget {
-				return found
+		keep := cfg.MaxLen <= 0 || size < cfg.MaxLen // children fit in MaxLen
+		s.next = level{idx: s.next.idx[:0], cover: s.next.cover[:0]}
+		for p := 0; p < s.cur.n; p++ {
+			pidx := s.cur.idx[p*(size-1) : (p+1)*(size-1)]
+			pc := s.cur.cover[p*w : (p+1)*w]
+			j := int32(0)
+			if len(pidx) > 0 {
+				j = pidx[len(pidx)-1] + 1
 			}
-			if c.cover.ContainsAll(outside) {
-				if isMinimal(c.idx, kills, outside) {
-					if emit(c.idx) {
-						return found
-					}
-				}
-				continue // supersets of a cover are never minimal
-			}
-			last := c.idx[len(c.idx)-1]
-			for j := last + 1; j < len(classes); j++ {
+			for ; j < nc; j++ {
+				kj := s.kills[int(j)*w : int(j+1)*w]
 				// If kills[j] ⊆ cover(c), class j stays redundant in every
 				// extension of c — no minimal cover there. If kills[j] ⊇
 				// cover(c), every class of c becomes redundant once j is
 				// added; the minimal covers through j are reached from
 				// shorter prefixes containing j instead. Both prune.
-				if c.cover.ContainsAll(kills[j]) || kills[j].ContainsAll(c.cover) {
+				if len(pidx) > 0 && (subset(kj, pc) || subset(pc, kj)) {
 					continue
 				}
-				next = append(next, cand{
-					idx:   append(append([]int(nil), c.idx...), j),
-					cover: c.cover.Union(kills[j]),
-				})
+				if examined++; examined > budget || examined%stopPoll == 0 && stopped(done) {
+					return found
+				}
+				at := len(s.next.cover)
+				s.next.cover = append(s.next.cover, pc...)
+				cover := s.next.cover[at:]
+				for i, x := range kj {
+					cover[i] |= x
+				}
+				if s.covers(cover) {
+					s.next.cover = s.next.cover[:at]
+					if s.minimal(pidx, j) {
+						if found = s.emit(g, pidx, j, found, cfg.NL); len(found) >= cfg.NL {
+							return found
+						}
+					}
+					continue
+				}
+				if !keep || j+1 == nc { // no children to expand
+					s.next.cover = s.next.cover[:at]
+					continue
+				}
+				s.next.idx = append(append(s.next.idx, pidx...), j)
+				s.next.n++
 			}
 		}
-		level = next
-		size++
+		s.cur, s.next = s.next, s.cur
 	}
 	return found
 }
 
-// isMinimal reports whether removing any single item breaks coverage.
-func isMinimal(idx []int, kills []*bitset.Set, outside *bitset.Set) bool {
-	if len(idx) == 1 {
-		return true
+// setup renumbers the group's outside rows and builds its kill
+// classes. It reports false when no row lies outside the group.
+//
+// Step 1 ranks the upper bound's items by descending score. Items are
+// then grouped by identical kill sets, the outside rows they are
+// missing from. Correlated gene intervals share kill sets, and any two
+// same-kill items are interchangeable in every cover, so the search
+// runs over one representative per class and substitutions are
+// expanded on output. This is what keeps FindLB tractable on
+// block-correlated expression data.
+func (s *search) setup(d *dataset.Dataset, g *rules.Group, score []float64) bool {
+	n := d.NumRows()
+	if s.outside == nil || s.outside.Len() != n {
+		s.outside, s.missing = bitset.New(n), bitset.New(n)
+		s.pos, s.rows = make([]uint32, n), make([]int, 0, n)
 	}
-	for drop := range idx {
-		cover := bitset.New(outside.Len())
-		for i, j := range idx {
-			if i == drop {
-				continue
-			}
-			cover.UnionWith(kills[j])
+	s.outside.Fill()
+	s.outside.DifferenceWith(g.Rows)
+	s.rows = s.outside.AppendIndicesBelow(s.rows[:0], n)
+	m := len(s.rows)
+	if m == 0 {
+		return false
+	}
+	for i, r := range s.rows {
+		s.pos[r] = uint32(i)
+	}
+	s.w = (m + 63) / 64
+	s.last = ^uint64(0) >> (uint(-m) % 64)
+	s.kill = grow(s.kill, s.w)
+	s.exact = grow(s.exact, s.w)
+
+	s.ranked = append(s.ranked[:0], g.Antecedent...)
+	if score == nil {
+		score = DefaultItemScores(d)
+	}
+	ranked := s.ranked
+	sort.SliceStable(ranked, func(a, b int) bool { return score[ranked[a]] > score[ranked[b]] })
+
+	if s.classOf == nil {
+		s.classOf = map[string]int32{}
+	}
+	clear(s.classOf)
+	s.kills, s.members = s.kills[:0], s.members[:0]
+	for _, it := range ranked {
+		s.missing.CopyFrom(s.outside)
+		s.missing.DifferenceWith(d.ItemRows(it))
+		s.rows = s.missing.AppendIndicesBelow(s.rows[:0], n)
+		if len(s.rows) == 0 {
+			continue // kills nothing: never part of a minimal cover
 		}
-		if cover.ContainsAll(outside) {
+		clear(s.kill)
+		for _, r := range s.rows {
+			p := s.pos[r]
+			s.kill[p/64] |= 1 << (p % 64)
+		}
+		s.key = s.key[:0]
+		for _, x := range s.kill {
+			s.key = binary.LittleEndian.AppendUint64(s.key, x)
+		}
+		ci, ok := s.classOf[string(s.key)]
+		if !ok {
+			ci = int32(len(s.members))
+			s.classOf[string(s.key)] = ci
+			s.kills = append(s.kills, s.kill...)
+			if int(ci) < cap(s.members) {
+				s.members = s.members[:ci+1] // reuse the slice a previous group grew
+				s.members[ci] = s.members[ci][:0]
+			} else {
+				s.members = append(s.members, nil)
+			}
+		}
+		s.members[ci] = append(s.members[ci], it)
+	}
+	return true
+}
+
+// covers reports whether the renumbered row set c holds every outside
+// row.
+//
+//vet:allocfree
+func (s *search) covers(c []uint64) bool {
+	for _, x := range c[:len(c)-1] {
+		if x != ^uint64(0) {
+			return false
+		}
+	}
+	return c[len(c)-1] == s.last
+}
+
+// minimal reports whether the cover made of classes pidx and j is
+// minimal: removing any one class uncovers a row. That holds iff every
+// class kills a row no other class kills, which one pass finds by
+// tracking the rows killed once and the rows killed more than once.
+//
+//vet:allocfree
+func (s *search) minimal(pidx []int32, j int32) bool {
+	w := s.w
+	for wi := range s.exact {
+		once, twice := s.kills[int(j)*w+wi], uint64(0)
+		for _, c := range pidx {
+			x := s.kills[int(c)*w+wi]
+			twice |= once & x
+			once |= x
+		}
+		s.exact[wi] = once &^ twice
+	}
+	if !intersects(s.kills[int(j)*w:int(j+1)*w], s.exact) {
+		return false
+	}
+	for _, c := range pidx {
+		if !intersects(s.kills[int(c)*w:int(c+1)*w], s.exact) {
 			return false
 		}
 	}
 	return true
+}
+
+// emit expands the minimal representative cover pidx+j into concrete
+// lower bounds by substituting class members in rank order, appending
+// them to found until it holds nl rules.
+func (s *search) emit(g *rules.Group, pidx []int32, j int32, found []*rules.Rule, nl int) []*rules.Rule {
+	s.cand = append(append(s.cand[:0], pidx...), j)
+	s.choice = grow(s.choice, len(s.cand))
+	for {
+		ant := make([]int, len(s.cand))
+		for i, c := range s.cand {
+			ant[i] = s.members[c][s.choice[i]]
+		}
+		sort.Ints(ant)
+		found = append(found, lowerBound(g, ant))
+		if len(found) >= nl {
+			return found
+		}
+		// Advance the odometer, last position fastest.
+		i := len(s.cand) - 1
+		for ; i >= 0; i-- {
+			if s.choice[i]++; s.choice[i] < len(s.members[s.cand[i]]) {
+				break
+			}
+			s.choice[i] = 0
+		}
+		if i < 0 {
+			return found
+		}
+	}
+}
+
+// lowerBound returns the lower-bound rule of g with the sorted
+// antecedent ant.
+func lowerBound(g *rules.Group, ant []int) *rules.Rule {
+	return &rules.Rule{
+		Antecedent: ant,
+		Class:      g.Class,
+		Support:    g.Support,
+		Confidence: g.Confidence,
+	}
+}
+
+// subset reports whether a ⊆ b.
+//
+//vet:allocfree
+func subset(a, b []uint64) bool {
+	for i, x := range a {
+		if x&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// intersects reports whether a ∩ b ≠ ∅.
+//
+//vet:allocfree
+func intersects(a, b []uint64) bool {
+	for i, x := range a {
+		if x&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// grow returns buf resized to n zeroed elements, reusing its backing
+// array when large enough.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// stopped reports whether done is closed.
+func stopped(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // DefaultItemScores computes per-item information gain of presence
@@ -269,38 +437,59 @@ func entropy(counts []int) float64 {
 	return h
 }
 
-// FindAll runs Find for every group concurrently (bounded by
-// GOMAXPROCS workers) and returns results in group order, so callers
-// stay deterministic. Groups share the dataset read-only.
+// FindAll is FindAllContext without cancellation.
 func FindAll(d *dataset.Dataset, groups []*rules.Group, cfg Config) [][]*rules.Rule {
+	out, _ := FindAllContext(context.Background(), d, groups, cfg) //vet:ignore ctxflow FindAll is the documented context-free convenience wrapper over FindAllContext
+	return out
+}
+
+// FindAllContext runs Find for every group, up to cfg.Workers groups at
+// once, and returns results in group order, so callers stay
+// deterministic. Groups share the dataset read-only. Once ctx is done
+// it stops handing out groups, stops the searches in flight, and
+// returns ctx.Err() with nil results.
+func FindAllContext(ctx context.Context, d *dataset.Dataset, groups []*rules.Group, cfg Config) ([][]*rules.Rule, error) {
 	out := make([][]*rules.Rule, len(groups))
-	if len(groups) == 0 {
-		return out
+	if len(groups) > 0 {
+		// Compute the default scores once, before fan-out, rather than
+		// once per group.
+		if cfg.ItemScore == nil {
+			cfg.ItemScore = DefaultItemScores(d)
+		}
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		done := ctx.Done()
+		fanOut(done, len(groups), workers, func(s *search, i int) {
+			out[i] = s.find(d, groups[i], cfg, done)
+		})
 	}
-	// Compute the default scores once, before fan-out, rather than once
-	// per group.
-	if cfg.ItemScore == nil {
-		cfg.ItemScore = DefaultItemScores(d)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	var next int64 = -1
+	return out, nil
+}
+
+// fanOut calls fn(s, i) for every i in [0, n) on at most workers
+// goroutines, each passing its own search scratch, and returns once
+// they finish. It stops handing out indices once done is closed.
+func fanOut(done <-chan struct{}, n, workers int, fn func(s *search, i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s search
 			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(groups) {
+				i := int(next.Add(1) - 1)
+				if i >= n || stopped(done) {
 					return
 				}
-				out[i] = Find(d, groups[i], cfg)
+				fn(&s, i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/rules"
 )
@@ -319,6 +320,9 @@ func TestBudgetHalts(t *testing.T) {
 	}
 }
 
+// TestFindAllMatchesSequential runs FindAll at several worker bounds:
+// results must deep-equal sequential Find, in group order, because each
+// group's search is independent.
 func TestFindAllMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
@@ -328,19 +332,14 @@ func TestFindAllMatchesSequential(t *testing.T) {
 			groups = append(groups, groupFor(d, d.Rows[row], 0))
 		}
 		cfg := Config{NL: 10}
-		got := FindAll(d, groups, cfg)
-		if len(got) != len(groups) {
-			t.Fatalf("trial %d: %d results for %d groups", trial, len(got), len(groups))
-		}
+		want := make([][]*rules.Rule, len(groups))
 		for i, g := range groups {
-			want := Find(d, g, cfg)
-			if len(got[i]) != len(want) {
-				t.Fatalf("trial %d group %d: %d vs %d lower bounds", trial, i, len(got[i]), len(want))
-			}
-			for j := range want {
-				if !reflect.DeepEqual(got[i][j].Antecedent, want[j].Antecedent) {
-					t.Fatalf("trial %d group %d rule %d differs", trial, i, j)
-				}
+			want[i] = Find(d, g, cfg)
+		}
+		for _, workers := range []int{0, 1, 2, 8} {
+			cfg.Workers = workers
+			if got := FindAll(d, groups, cfg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, Workers=%d: FindAll differs from sequential Find", trial, workers)
 			}
 		}
 	}
@@ -351,4 +350,183 @@ func TestFindAllEmpty(t *testing.T) {
 	if out := FindAll(d, nil, Config{NL: 1}); len(out) != 0 {
 		t.Fatal("no groups should give no results")
 	}
+}
+
+// referenceFind is the straightforward FindLB that Find replaced, kept
+// as the oracle Find must match rule for rule, in order. Every BFS
+// candidate owns an index slice and a cloned bitset, each level is
+// built whole before it is examined, and minimality is checked by
+// rebuilding the cover once per dropped class.
+
+// referenceFind returns up to cfg.NL shortest lower-bound rules of group g over
+// dataset d, most discriminant item combinations first.
+func referenceFind(d *dataset.Dataset, g *rules.Group, cfg Config) []*rules.Rule {
+	if cfg.NL <= 0 {
+		return nil
+	}
+	budget := cfg.MaxCandidates
+	if budget <= 0 {
+		budget = 1 << 20
+	}
+
+	// Outside rows: rows not in the group's support set.
+	outside := g.Rows.Clone()
+	flip := bitset.New(d.NumRows())
+	flip.Fill()
+	outside = flip.Difference(outside)
+
+	mkRule := func(ant []int) *rules.Rule {
+		sorted := append([]int(nil), ant...)
+		sort.Ints(sorted)
+		return &rules.Rule{
+			Antecedent: sorted,
+			Class:      g.Class,
+			Support:    g.Support,
+			Confidence: g.Confidence,
+		}
+	}
+
+	// Degenerate group covering every row: the empty rule is its only
+	// lower bound.
+	if outside.IsEmpty() {
+		return []*rules.Rule{mkRule(nil)}
+	}
+
+	// Step 1: rank the upper bound's items by descending score.
+	ranked := append([]int(nil), g.Antecedent...)
+	score := cfg.ItemScore
+	if score == nil {
+		score = DefaultItemScores(d)
+	}
+	sort.SliceStable(ranked, func(a, b int) bool { return score[ranked[a]] > score[ranked[b]] })
+
+	// Group items by identical kill sets. Correlated gene intervals
+	// share kill sets, and any two same-kill items are interchangeable
+	// in every cover, so the search runs over one representative per
+	// class and substitutions are expanded afterwards. This is what
+	// keeps FindLB tractable on block-correlated expression data.
+	type itemClass struct {
+		items []int // rank order within the class
+		kill  *bitset.Set
+	}
+	var classes []itemClass
+	classOf := map[string]int{}
+	for _, it := range ranked {
+		k := outside.Difference(d.ItemRows(it))
+		if k.IsEmpty() {
+			continue // kills nothing: never part of a minimal cover
+		}
+		key := k.Key()
+		ci, ok := classOf[key]
+		if !ok {
+			ci = len(classes)
+			classOf[key] = ci
+			classes = append(classes, itemClass{kill: k})
+		}
+		classes[ci].items = append(classes[ci].items, it)
+	}
+	kills := make([]*bitset.Set, len(classes))
+	for j := range classes {
+		kills[j] = classes[j].kill
+	}
+
+	// emit expands a minimal representative cover into concrete lower
+	// bounds by substituting class members in rank order, until nl rules
+	// are produced. It reports whether the nl quota is filled.
+	var found []*rules.Rule
+	emit := func(idx []int) bool {
+		choice := make([]int, len(idx))
+		var rec func(pos int) bool
+		rec = func(pos int) bool {
+			if pos == len(idx) {
+				ant := make([]int, len(idx))
+				for i, j := range idx {
+					ant[i] = classes[j].items[choice[i]]
+				}
+				found = append(found, mkRule(ant))
+				return len(found) >= cfg.NL
+			}
+			for c := range classes[idx[pos]].items {
+				choice[pos] = c
+				if rec(pos + 1) {
+					return true
+				}
+			}
+			return false
+		}
+		return rec(0)
+	}
+
+	// Step 2: BFS over ranked class combinations by increasing size. A
+	// candidate is a lower bound iff its kill union covers all outside
+	// rows and removing any single class breaks coverage (minimality).
+	type cand struct {
+		idx   []int       // indices into classes
+		cover *bitset.Set // union of kills
+	}
+	level := make([]cand, 0, len(classes))
+	for j := range classes {
+		level = append(level, cand{idx: []int{j}, cover: kills[j]})
+	}
+
+	examined := 0
+	size := 1
+	for len(level) > 0 && len(found) < cfg.NL {
+		if cfg.MaxLen > 0 && size > cfg.MaxLen {
+			break
+		}
+		var next []cand
+		for _, c := range level {
+			examined++
+			if examined > budget {
+				return found
+			}
+			if c.cover.ContainsAll(outside) {
+				if referenceIsMinimal(c.idx, kills, outside) {
+					if emit(c.idx) {
+						return found
+					}
+				}
+				continue // supersets of a cover are never minimal
+			}
+			last := c.idx[len(c.idx)-1]
+			for j := last + 1; j < len(classes); j++ {
+				// If kills[j] ⊆ cover(c), class j stays redundant in every
+				// extension of c — no minimal cover there. If kills[j] ⊇
+				// cover(c), every class of c becomes redundant once j is
+				// added; the minimal covers through j are reached from
+				// shorter prefixes containing j instead. Both prune.
+				if c.cover.ContainsAll(kills[j]) || kills[j].ContainsAll(c.cover) {
+					continue
+				}
+				next = append(next, cand{
+					idx:   append(append([]int(nil), c.idx...), j),
+					cover: c.cover.Union(kills[j]),
+				})
+			}
+		}
+		level = next
+		size++
+	}
+	return found
+}
+
+// referenceIsMinimal reports whether removing any single item breaks coverage.
+func referenceIsMinimal(idx []int, kills []*bitset.Set, outside *bitset.Set) bool {
+	if len(idx) == 1 {
+		return true
+	}
+	for drop := range idx {
+		cover := bitset.New(outside.Len())
+		for i, j := range idx {
+			if i == drop {
+				continue
+			}
+			cover.UnionWith(kills[j])
+		}
+		if cover.ContainsAll(outside) {
+			return false
+		}
+	}
+	return true
 }

@@ -39,9 +39,11 @@ type Config struct {
 	// LBMaxLen / LBMaxCandidates bound the FindLB search (0 = defaults).
 	LBMaxLen        int
 	LBMaxCandidates int
-	// Workers is how many classes are mined at once (0 or 1 = one at
-	// a time). Each class is an independent MineTopkRGS run on one
-	// goroutine, so the trained classifier is identical at every value.
+	// Workers bounds training's goroutines (0 or 1 = one at a time): it
+	// is how many classes are mined at once and how many FindLB
+	// searches run at once. Each class is an independent MineTopkRGS run
+	// and each rule group an independent search, so the trained
+	// classifier is identical at every value.
 	Workers int
 	// MaxNodes caps enumeration nodes per mined class (0 = unbounded);
 	// when exceeded the miner returns its partial per-row lists and
@@ -183,8 +185,8 @@ func TrainContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Classif
 	itemScores := lowerbound.DefaultItemScores(d)
 	lbCache := map[*rules.Group][]*rules.Rule{}
 	for j := 0; j < cfg.K; j++ {
-		// The lower-bound search below can dwarf the mining time on wide
-		// datasets; honor cancellation between ranks.
+		// FindAllContext stops its searches on cancellation; honour it
+		// between ranks too, where rule selection runs.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -213,12 +215,16 @@ func TrainContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Classif
 			}
 		}
 		if len(missing) > 0 {
-			found := lowerbound.FindAll(d, missing, lowerbound.Config{
+			found, err := lowerbound.FindAllContext(ctx, d, missing, lowerbound.Config{
 				NL:            cfg.NL,
 				MaxLen:        cfg.LBMaxLen,
 				MaxCandidates: cfg.LBMaxCandidates,
 				ItemScore:     itemScores,
+				Workers:       max(cfg.Workers, 1),
 			})
+			if err != nil {
+				return nil, err
+			}
 			for i, g := range missing {
 				lbCache[g] = found[i]
 			}
