@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet analyze analyze-json test race bench perf loadbench experiments fuzz serve clean
+.PHONY: all build vet analyze analyze-json test race bench perf benchgate experiments fuzz serve clean
 
 all: build vet analyze test
 
@@ -36,21 +36,18 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Perf trajectory: Mine benchmarks with allocation counts, plus the
-# per-miner nodes/sec table archived as BENCH_fig6.json. Compare the
-# JSON against the checked-in copy to judge a kernel change.
+# Mining-kernel benchmarks with allocation counts, five repeats each:
+# the Mine benchmarks must stay at zero steady-state allocations.
 perf:
 	$(GO) test -run '^$$' -bench 'Mine' -benchmem -count=5 ./...
-	$(GO) run ./cmd/benchrunner -exp perf -scale 30
 
-# Serving read-path trajectory: closed- and open-loop load against an
-# in-process server (prediction cache + scalar rule walk), archived as
-# BENCH_serving.json. The gate fails the run when any (mode, batch)
-# cell's p99 latency exceeds 1.5x its archived value — compare the JSON
-# against the checked-in copy to judge a read-path change, like
-# `make perf` for the mining kernel.
-loadbench:
-	$(GO) run ./cmd/loadgen -scale 30 -requests 200 -concurrency 4 -qps 200 -gate 1.5
+# Benchmark gate of a change against BASE (a commit, branch or tag),
+# the one CI runs on pull requests: ten alternating pairs of
+# rcbtbench's classify-open workload, BASE against HEAD, each built in
+# a checkout of its own, then rcbtbench -compare. It fails on a failed
+# run or a regressed metric. See scripts/benchgate.sh.
+benchgate:
+	bash scripts/benchgate.sh $(BASE)
 
 # Paper-scale regeneration of every table and figure into results/.
 experiments:

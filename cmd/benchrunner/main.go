@@ -3,13 +3,14 @@
 //
 // Usage:
 //
-//	benchrunner -exp table1|fig6|fig6e|table2|fig7|fig8|defaultclass|minsupsweep|groupcount|topgenes|ablation|perf|all [-scale N] [-json FILE]
+//	benchrunner -exp table1|fig6|fig6e|table2|fig7|fig8|defaultclass|minsupsweep|topgenes|groupcount|ablation|all [-scale N] [-json FILE]
 //
 // -scale divides the profiles' gene counts (1 = paper scale; larger is
 // faster); -timeout bounds the whole run via context cancellation.
-// Output goes to stdout in paper-style rows. -json also archives an
-// experiment's structured results; perf always archives, by default to
-// BENCH_fig6.json.
+// Output goes to stdout in paper-style rows. -json also writes one
+// experiment's structured results (table1, fig6, table2, topgenes and
+// groupcount have them), so it does not combine with -exp all. An
+// unknown -exp, or -json with -exp all, exits 2.
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -27,19 +29,31 @@ import (
 	"repro/internal/eval"
 )
 
+// experiments lists the -exp names in the order -exp all runs them.
+var experiments = []string{"table1", "fig6", "fig6e", "table2", "fig7", "fig8",
+	"defaultclass", "minsupsweep", "topgenes", "groupcount", "ablation"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig6, fig6e, table2, fig7, fig8, defaultclass, minsupsweep, groupcount, topgenes, ablation, perf, all")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", ")+", or all of them in that order")
 	scale := flag.Int("scale", 1, "gene-count divisor (1 = paper scale)")
 	budget := flag.Int("budget", 3_000_000, "baseline node budget before DNF")
 	topkBudget := flag.Int("topkbudget", 0, "optional MineTopkRGS node budget in fig6 (0 = unbounded)")
 	noColumn := flag.Bool("nocolumn", false, "skip CHARM/CLOSET+ in fig6")
 	datasets := flag.String("datasets", "", "comma-separated dataset filter for fig6 (e.g. ALL,LC)")
 	minsups := flag.String("minsups", "", "comma-separated relative supports for fig6 (e.g. 0.95,0.9)")
-	jsonOut := flag.String("json", "", "also write the experiment's structured results as JSON to this file (perf defaults to its BENCH_fig6.json archive)")
+	jsonOut := flag.String("json", "", "also write the experiment's structured results as JSON to this file (one experiment, not all)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
+	if *exp != "all" && !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "benchrunner: unknown -exp %q; want one of %s, all\n", *exp, strings.Join(experiments, ", "))
+		os.Exit(2)
+	}
+	if *exp == "all" && *jsonOut != "" {
+		fmt.Fprintln(os.Stderr, "benchrunner: -json holds one experiment's results; name it with -exp")
+		os.Exit(2)
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -78,18 +92,12 @@ func main() {
 	}
 	s := bench.Scale(*scale)
 	w := os.Stdout
-	// writeJSON archives v as indented JSON at -json, falling back to
-	// def (an experiment's checked-in archive name); with neither it
-	// writes nothing.
-	writeJSON := func(v any, def string) error {
-		path := *jsonOut
-		if path == "" {
-			path = def
-		}
-		if path == "" {
+	// writeJSON writes v as indented JSON to -json, if set.
+	writeJSON := func(v any) error {
+		if *jsonOut == "" {
 			return nil
 		}
-		f, err := os.Create(path)
+		f, err := os.Create(*jsonOut)
 		if err != nil {
 			return err
 		}
@@ -116,7 +124,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		return writeJSON(rows, "")
+		return writeJSON(rows)
 	})
 	run("fig6", func() error {
 		cfg := bench.DefaultFig6Config()
@@ -148,7 +156,7 @@ func main() {
 			return err
 		}
 		bench.ChartFig6(w, pts)
-		return writeJSON(pts, "")
+		return writeJSON(pts)
 	})
 	run("fig6e", func() error {
 		_, err := bench.Fig6e(ctx, w, s, 0.8, nil)
@@ -159,7 +167,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		return writeJSON(results, "")
+		return writeJSON(results)
 	})
 	run("fig7", func() error {
 		pts, err := bench.Fig7(w, s, nil)
@@ -189,14 +197,14 @@ func main() {
 		if err != nil {
 			return err
 		}
-		return writeJSON(pts, "")
+		return writeJSON(pts)
 	})
 	run("groupcount", func() error {
 		pts, err := bench.GroupCount(ctx, w, s, nil, 0.9, *budget)
 		if err != nil {
 			return err
 		}
-		return writeJSON(pts, "")
+		return writeJSON(pts)
 	})
 	run("ablation", func() error {
 		if _, err := bench.AblationEngines(ctx, w, s, 0.85, 0.9, *budget); err != nil {
@@ -204,14 +212,5 @@ func main() {
 		}
 		_, err := bench.AblationPruning(ctx, w, s, 0.8, 10, *budget)
 		return err
-	})
-	run("perf", func() error {
-		pts, err := bench.PerfTrajectory(ctx, w, bench.PerfConfig{Scale: s, Budget: *budget})
-		if err != nil {
-			return err
-		}
-		// The trajectory is archived across PRs (it measures the fig6 PC
-		// profile).
-		return writeJSON(pts, "BENCH_fig6.json")
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"os"
@@ -134,6 +135,38 @@ func TestBenchrunnerFig6Filtered(t *testing.T) {
 	}
 	if strings.Contains(out, "LC/60") {
 		t.Fatalf("dataset filter ignored: %s", out)
+	}
+}
+
+// TestBenchrunnerUsageErrors pins the two usage errors, which exit 2
+// before any experiment runs: an unknown -exp (a script still asking
+// for a removed experiment must not pass silently), and -json with
+// -exp all (every experiment would overwrite the one file). -timeout
+// keeps a runner that wrongly starts the experiments short.
+func TestBenchrunnerUsageErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	jsonPath := filepath.Join(t.TempDir(), "all.json")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "nosuch"}, "table1, fig6, fig6e"},
+		{[]string{"-exp", "all", "-json", jsonPath}, "-json"},
+	} {
+		args := append(tc.args, "-scale", "60", "-timeout", "1ms")
+		out, err := exec.Command(filepath.Join(binaries(t), "benchrunner"), args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("benchrunner %v: %v, want exit status 2\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("benchrunner %v: output does not mention %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+	if _, err := os.Stat(jsonPath); !os.IsNotExist(err) {
+		t.Errorf("-exp all -json wrote %s (stat: %v)", jsonPath, err)
 	}
 }
 

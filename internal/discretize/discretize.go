@@ -28,12 +28,6 @@ type Discretizer struct {
 	itemStart []int // first item id of each gene; -1 for dropped genes
 }
 
-// Fit learns cut points from the training matrix m.
-func Fit(m *Matrix) (*Discretizer, error) { return FitMatrix(m) }
-
-// Matrix is an alias re-exported for readability of the Fit signature.
-type Matrix = dataset.Matrix
-
 // FitMatrix learns MDL-accepted cut points for every gene of m.
 func FitMatrix(m *dataset.Matrix) (*Discretizer, error) {
 	if err := m.Validate(); err != nil {

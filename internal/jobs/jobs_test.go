@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -379,9 +381,10 @@ func TestGetUnknown(t *testing.T) {
 func TestTrainJobPersistsModel(t *testing.T) {
 	var hotName string
 	var hotModel *rcbt.Model
-	m := openTest(t, Config{OnModel: func(name string, mod *rcbt.Model) {
+	m := openTest(t, Config{})
+	m.SetOnModel(func(name string, mod *rcbt.Model) {
 		hotName, hotModel = name, mod
-	}})
+	})
 	d, _ := dataset.RunningExample()
 	spec := Spec{Kind: KindTrain, ModelName: "example", K: 2, NL: 3, MinsupFrac: 0.5}
 	rec, err := m.Submit(spec, Data{Dataset: d, Name: "running-example"})
@@ -396,10 +399,17 @@ func TestTrainJobPersistsModel(t *testing.T) {
 		t.Fatalf("model not recorded: %+v", got)
 	}
 	if hotName != "example" || hotModel == nil {
-		t.Fatalf("OnModel not called: %q %v", hotName, hotModel)
+		t.Fatalf("model callback not called: %q %v", hotName, hotModel)
 	}
 	if got.Result == nil || got.Result.Classifiers == 0 {
 		t.Fatalf("train summary %+v", got.Result)
+	}
+	var saved bytes.Buffer
+	if err := hotModel.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk, err := os.ReadFile(got.ModelPath); err != nil || !bytes.Equal(onDisk, saved.Bytes()) {
+		t.Fatalf("model file differs from Model.Save's output (read error %v)", err)
 	}
 
 	f, err := os.Open(got.ModelPath)
@@ -426,6 +436,54 @@ func TestTrainJobPersistsModel(t *testing.T) {
 		if want[r] != have[r] {
 			t.Fatalf("row %d: job model predicts %d, in-process predicts %d", r, have[r], want[r])
 		}
+	}
+}
+
+// TestSaveModelConcurrent saves one model name from two goroutines at
+// once, as two train jobs with the same modelName do (the pool runs two
+// jobs by default, and an auto-refresh does not wait for a running
+// train). Every save must succeed, the file must hold Model.Save's
+// bytes, and no staging file may be left behind.
+func TestSaveModelConcurrent(t *testing.T) {
+	m := openTest(t, Config{})
+	d, _ := dataset.RunningExample()
+	cls, err := rcbt.Train(d, rcbt.Config{K: 2, NL: 3, MinsupFrac: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &rcbt.Model{Classifier: cls, ClassNames: d.ClassNames, NumItems: d.NumItems()}
+	var want bytes.Buffer
+	if err := model.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(m.modelsDir, "shared.json")
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if err := m.saveModel(path, model); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("model file is not Model.Save's output:\n%s", got)
+	}
+	entries, err := os.ReadDir(m.modelsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("models dir holds %d entries, want only shared.json: %v", len(entries), entries)
 	}
 }
 

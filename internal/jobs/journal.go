@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -21,25 +22,16 @@ func (m *Manager) persist(rec *Record) error {
 	return atomicWrite(filepath.Join(m.jobsDir, rec.ID+".json"), data)
 }
 
-// saveModel writes a model envelope with the same atomicity guarantee;
-// a crashed train job never leaves a half-written model a restarted
-// server would try to load.
+// saveModel writes a model envelope through atomicWrite: a crashed
+// train job never leaves a half-written model a restarted server would
+// try to load, and two train jobs saving one model name at once cannot
+// truncate or steal each other's staging file.
 func (m *Manager) saveModel(path string, model *rcbt.Model) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
 		return err
 	}
-	if err := model.Save(f); err != nil {
-		f.Close()      // vetsuite:allow uncheckederr -- error path, Save failure already reported
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicWrite(path, buf.Bytes())
 }
 
 func atomicWrite(path string, data []byte) error {

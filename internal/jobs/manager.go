@@ -35,10 +35,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// Logger receives job lifecycle lines (nil = silent).
 	Logger *log.Logger
-	// OnModel, when non-nil, is called with every model a train job
-	// persists — after the journal records success — so a serving layer
-	// can hot-register it. It runs on the worker goroutine.
-	OnModel func(name string, m *rcbt.Model)
 }
 
 // job pairs a queued record id with its transient dataset.
@@ -100,7 +96,6 @@ func Open(ctx context.Context, cfg Config) (*Manager, error) {
 		byState:   map[string]int64{},
 		durBucket: make([]int64, len(DurationBuckets)),
 	}
-	m.onModel = cfg.OnModel
 	m.baseCtx, m.baseCancel = context.WithCancel(ctx)
 	if err := m.recoverJournal(); err != nil {
 		return nil, err
@@ -117,8 +112,9 @@ func Open(ctx context.Context, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// SetOnModel replaces the model callback after Open — a serving layer
-// constructed after the manager uses this to hook hot registration.
+// SetOnModel sets the callback that receives every model a train job
+// persists, after the journal records success, so a serving layer can
+// hot-register it. The callback runs on the worker goroutine.
 func (m *Manager) SetOnModel(fn func(name string, model *rcbt.Model)) {
 	m.mu.Lock()
 	m.onModel = fn
@@ -605,7 +601,8 @@ func resolveMinsup(spec Spec, d *dataset.Dataset, cls dataset.Label) int {
 }
 
 // runTrain trains an RCBT classifier and persists it as a versioned
-// model envelope under DataDir/models, then hands it to OnModel.
+// model envelope under DataDir/models, then hands it to the SetOnModel
+// callback.
 func (m *Manager) runTrain(ctx context.Context, id string, spec Spec, data Data, progress engine.ProgressFunc) (*Summary, string, string, error) {
 	d := data.Dataset
 	cfg := rcbt.Config{
