@@ -28,8 +28,9 @@
 //	GET  /healthz                          liveness probe
 //	GET  /metrics                          Prometheus text exposition
 //
-// Both classify routes label each row through the model's prediction
-// cache and, on a miss, the classifier's rule walk.
+// Both classify routes label each row with the model's own
+// PredictValues or PredictItems: discretize, then walk the main and
+// standby rule lists. Nothing is cached.
 //
 // With -data-dir, job records are journaled under <dir>/jobs and
 // trained models under <dir>/models; a restarted server lists prior

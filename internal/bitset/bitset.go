@@ -192,31 +192,6 @@ func (s *Set) IntersectCountBelow(a, b *Set, limit int) (below, total int) {
 	return below, total
 }
 
-// MatchRowsInto overwrites dst with the intersection of every set in
-// srcs in a single word sweep: dst = srcs[0] ∩ srcs[1] ∩ … — the batch
-// classification kernel that ANDs a rule's item-presence columns across
-// all rows of a batch at once. All sets must share dst's universe; dst
-// may alias any element of srcs. With empty srcs, dst becomes the full
-// universe (the intersection of nothing matches every row).
-//
-//vet:allocfree
-func MatchRowsInto(dst *Set, srcs []*Set) {
-	for _, src := range srcs {
-		dst.mustMatch(src)
-	}
-	if len(srcs) == 0 {
-		dst.Fill()
-		return
-	}
-	for i := range dst.words {
-		w := srcs[0].words[i]
-		for _, src := range srcs[1:] {
-			w &= src.words[i]
-		}
-		dst.words[i] = w
-	}
-}
-
 // transpose64 transposes a 64×64 bit matrix in place (Hacker's Delight
 // §7-3, recursive block swap). The six passes are unrolled with
 // constant masks and shift widths, and pair indexing uses k|j (the
@@ -291,149 +266,6 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// TransposeInto builds the item-major transpose of a batch of rows:
-// after the call, cols[i] contains exactly the row indices r (over
-// [0,len(rows))) whose set rows[r] contains element i. A nil entry in
-// cols skips that item, and a 64-item word group whose columns are all
-// nil is skipped entirely — callers materialize columns only for the
-// items they will sweep. Every row's universe must hold len(cols)
-// elements; every non-nil column's universe must hold len(rows).
-// Column words covering rows beyond len(rows) are zeroed, so stale
-// contents from a larger previous batch cannot leak.
-//
-// The kernel processes 64 rows × 64 items per block with transpose64,
-// so the whole view costs a handful of word operations per row — this
-// is what makes rule-major batch classification cheaper than scoring
-// row by row.
-//
-// maxFusedGroups bounds the item word groups the fused transpose path
-// gathers per row-block (16 groups = 1024 items); wider universes take
-// the group-at-a-time path, which chases each row pointer once per
-// group instead of once per block.
-const maxFusedGroups = 16
-
-//vet:allocfree
-func TransposeInto(cols []*Set, rows []*Set) {
-	n := len(rows)
-	for _, row := range rows {
-		if row.n < len(cols) {
-			panic(fmt.Sprintf("bitset: transpose row universe %d smaller than %d columns", row.n, len(cols)))
-		}
-	}
-	for i, col := range cols {
-		if col != nil && col.n < n {
-			panic(fmt.Sprintf("bitset: transpose column %d universe %d smaller than %d rows", i, col.n, n))
-		}
-	}
-	itemWords := (len(cols) + wordBits - 1) / wordBits
-	blocks := (n + wordBits - 1) / wordBits
-
-	// A 64-item word group with no live (non-nil) column needs no
-	// transpose; compact the live group ids so the hot loops only touch
-	// them.
-	var liveBuf [maxFusedGroups]int32
-	live := liveBuf[:0]
-	if itemWords > maxFusedGroups {
-		live = make([]int32, 0, itemWords) //vet:ignore allocfree wide-universe fallback allocates its group list; the fused path stays on the stack buffer
-	}
-	for wi := 0; wi < itemWords; wi++ {
-		base := wi * wordBits
-		width := len(cols) - base
-		if width > wordBits {
-			width = wordBits
-		}
-		for b := 0; b < width; b++ {
-			if cols[base+b] != nil {
-				live = append(live, int32(wi))
-				break
-			}
-		}
-	}
-
-	if itemWords <= maxFusedGroups {
-		// Fused path: chase each row pointer once per 64-row block,
-		// gathering every live group's word, then transpose and scatter
-		// group by group.
-		var bufs [maxFusedGroups][wordBits]uint64
-		for block := 0; block < blocks; block++ {
-			lo := block * wordBits
-			cnt := n - lo
-			if cnt > wordBits {
-				cnt = wordBits
-			}
-			// transpose64 is a true transpose in MSB-first convention;
-			// reversing both the load and the store order converts it to
-			// the set's LSB-first bit indexing.
-			for j := 0; j < cnt; j++ {
-				w := rows[lo+j].words
-				ri := wordBits - 1 - j
-				for _, g := range live {
-					bufs[g][ri] = w[g]
-				}
-			}
-			for j := cnt; j < wordBits; j++ {
-				ri := wordBits - 1 - j
-				for _, g := range live {
-					bufs[g][ri] = 0
-				}
-			}
-			for _, g := range live {
-				transpose64(&bufs[g])
-				base := int(g) * wordBits
-				width := len(cols) - base
-				if width > wordBits {
-					width = wordBits
-				}
-				for b := 0; b < width; b++ {
-					if col := cols[base+b]; col != nil {
-						col.words[block] = bufs[g][wordBits-1-b]
-					}
-				}
-			}
-		}
-	} else {
-		var buf [wordBits]uint64
-		for _, g := range live {
-			wi := int(g)
-			base := wi * wordBits
-			width := len(cols) - base
-			if width > wordBits {
-				width = wordBits
-			}
-			for block := 0; block < blocks; block++ {
-				lo := block * wordBits
-				cnt := n - lo
-				if cnt > wordBits {
-					cnt = wordBits
-				}
-				for j := 0; j < cnt; j++ {
-					buf[wordBits-1-j] = rows[lo+j].words[wi]
-				}
-				for j := cnt; j < wordBits; j++ {
-					buf[wordBits-1-j] = 0
-				}
-				transpose64(&buf)
-				for b := 0; b < width; b++ {
-					if col := cols[base+b]; col != nil {
-						col.words[block] = buf[wordBits-1-b]
-					}
-				}
-			}
-		}
-	}
-
-	// Zero the column words beyond the live blocks so a smaller batch
-	// fully overwrites a larger one's view.
-	for _, col := range cols {
-		if col == nil {
-			continue
-		}
-		for w := blocks; w < len(col.words); w++ {
-			col.words[w] = 0
-		}
-	}
-}
-
 // FillBelow replaces the set's contents with exactly the elements
 // strictly below limit: a one-sweep "first n rows of the batch are
 // live" initializer for scratch sets whose universe is a capacity
@@ -457,41 +289,6 @@ func (s *Set) FillBelow(limit int) {
 	}
 	for i := full; i < len(s.words); i++ {
 		s.words[i] = 0
-	}
-}
-
-// AddDeltaBelow adds delta to dst[i] for every element i of s below
-// limit. It is the batch classifier's fused score-accumulation kernel:
-// one trailing-zeros sweep over the match words replaces materializing
-// the element list and re-walking it. dst must hold the largest
-// element below limit.
-//
-//vet:allocfree
-func (s *Set) AddDeltaBelow(dst []float64, delta float64, limit int) {
-	if limit > s.n {
-		limit = s.n
-	}
-	if limit <= 0 {
-		return
-	}
-	full := limit / wordBits
-	for wi := 0; wi < full; wi++ {
-		w := s.words[wi]
-		base := wi * wordBits
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			dst[base+b] += delta
-		}
-	}
-	if rem := limit % wordBits; rem != 0 {
-		w := s.words[full] & (1<<uint(rem) - 1)
-		base := full * wordBits
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			dst[base+b] += delta
-		}
 	}
 }
 

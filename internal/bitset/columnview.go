@@ -8,10 +8,8 @@ import (
 // ColumnView is the rule-major transposed view of a batch of rows,
 // stored block-major: for each 64-item word group and each 64-row
 // block, the 64 column words produced by transpose64 stay exactly
-// where the transpose wrote them. Compared to scattering the transpose
-// into per-item Sets (TransposeInto), this drops the scatter pass and
-// the stale-word zeroing entirely — a column is addressed as a strided
-// walk over the block sections instead.
+// where the transpose wrote them, and a column is addressed as a
+// strided walk over the block sections.
 //
 // Only word groups containing referenced items (the set passed to
 // NewColumnView) are materialized; a model whose rules touch 100 of
@@ -21,8 +19,7 @@ import (
 // The companion kernel MatchRows fuses the whole per-rule sweep of the
 // batch classifier — mask ∧ antecedent columns, union into the matched
 // accumulator, and score scatter-add — into one pass over the row
-// words. MatchRowsInto/AddDeltaBelow are the composable equivalents;
-// ColumnView exists so the serving hot loop touches each word once.
+// words, so the sweep touches each word once.
 //
 // A ColumnView is not safe for concurrent use.
 type ColumnView struct {

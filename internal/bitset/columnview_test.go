@@ -27,6 +27,20 @@ func readColumn(v *ColumnView, item int) *Set {
 	return col
 }
 
+// naiveTranspose computes the item-major view column by column.
+func naiveTranspose(numItems int, rows []*Set) []*Set {
+	cols := make([]*Set, numItems)
+	for i := range cols {
+		cols[i] = New(len(rows))
+		for r, row := range rows {
+			if row.Contains(i) {
+				cols[i].Add(r)
+			}
+		}
+	}
+	return cols
+}
+
 // TestColumnViewBuild: every materialized column must equal the naive
 // per-item transpose, across universe/batch shapes straddling word and
 // block boundaries — including partial final blocks whose padding rows
@@ -204,36 +218,4 @@ func TestColumnViewPanics(t *testing.T) {
 	mustPanic("short mask", func() {
 		v.MatchRows(New(0), nil, New(64), make([]float64, 1), 1)
 	})
-}
-
-// TestAddDeltaBelow pins the scatter-add against the naive index walk,
-// across limits straddling word boundaries and the universe size.
-func TestAddDeltaBelow(t *testing.T) {
-	s := FromIndices(190, 0, 5, 63, 64, 100, 189)
-	for _, limit := range []int{-1, 0, 1, 6, 63, 64, 65, 101, 190, 400} {
-		dst := make([]float64, 190)
-		want := make([]float64, 190)
-		for i := range dst {
-			dst[i] = float64(i) / 3
-			want[i] = dst[i]
-		}
-		for _, i := range s.Indices() {
-			if i < limit {
-				want[i] += 2.5
-			}
-		}
-		s.AddDeltaBelow(dst, 2.5, limit)
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("limit %d: dst[%d] = %v, want %v", limit, i, dst[i], want[i])
-			}
-		}
-	}
-
-	dst := make([]float64, 190)
-	if allocs := testing.AllocsPerRun(100, func() {
-		s.AddDeltaBelow(dst, 1, 190)
-	}); allocs != 0 {
-		t.Errorf("AddDeltaBelow: %.1f allocs/op, want 0", allocs)
-	}
 }

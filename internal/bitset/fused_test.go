@@ -117,51 +117,6 @@ func TestHash64(t *testing.T) {
 	}
 }
 
-func TestMatchRowsInto(t *testing.T) {
-	a := FromIndices(190, 0, 5, 63, 64, 100, 189)
-	b := FromIndices(190, 0, 5, 63, 65, 100, 150, 189)
-	c := FromIndices(190, 0, 63, 100, 189)
-
-	want := a.Intersect(b)
-	want.IntersectWith(c)
-	dst := New(190)
-	dst.Fill() // stale contents must be fully overwritten
-	MatchRowsInto(dst, []*Set{a, b, c})
-	if !dst.Equal(want) {
-		t.Errorf("MatchRowsInto(a,b,c) = %v, want %v", dst, want)
-	}
-
-	// One source degenerates to a copy.
-	MatchRowsInto(dst, []*Set{b})
-	if !dst.Equal(b) {
-		t.Errorf("MatchRowsInto(b) = %v, want %v", dst, b)
-	}
-
-	// No sources: the empty intersection is the full universe.
-	MatchRowsInto(dst, nil)
-	full := New(190)
-	full.Fill()
-	if !dst.Equal(full) {
-		t.Errorf("MatchRowsInto() = %v, want full universe", dst)
-	}
-
-	// Aliasing: dst may be one of the sources.
-	sa := a.Clone()
-	MatchRowsInto(sa, []*Set{sa, b, c})
-	if !sa.Equal(want) {
-		t.Errorf("aliased MatchRowsInto = %v, want %v", sa, want)
-	}
-
-	// Reusing a scratch srcs slice must not allocate.
-	srcs := make([]*Set, 0, 4)
-	if allocs := testing.AllocsPerRun(100, func() {
-		srcs = append(srcs[:0], a, b, c)
-		MatchRowsInto(dst, srcs)
-	}); allocs != 0 {
-		t.Errorf("MatchRowsInto: %.1f allocs/op, want 0", allocs)
-	}
-}
-
 func TestFillBelow(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 190} {
 		for _, limit := range []int{-4, 0, 1, 63, 64, 65, 100, n, n + 7} {
@@ -179,88 +134,8 @@ func TestFillBelow(t *testing.T) {
 	}
 }
 
-// naiveTranspose computes the item-major view column by column.
-func naiveTranspose(numItems int, rows []*Set) []*Set {
-	cols := make([]*Set, numItems)
-	for i := range cols {
-		cols[i] = New(len(rows))
-		for r, row := range rows {
-			if row.Contains(i) {
-				cols[i].Add(r)
-			}
-		}
-	}
-	return cols
-}
-
-func TestTransposeInto(t *testing.T) {
-	for _, tc := range []struct{ numItems, numRows, seedStride int }{
-		{1, 1, 1}, {64, 64, 3}, {65, 63, 5}, {128, 200, 7},
-		{190, 1, 2}, {70, 130, 11}, {128, 0, 1},
-	} {
-		rows := make([]*Set, tc.numRows)
-		for r := range rows {
-			rows[r] = New(tc.numItems)
-			for i := (r * tc.seedStride) % tc.numItems; i < tc.numItems; i += tc.seedStride + r%3 + 1 {
-				rows[r].Add(i)
-			}
-		}
-		want := naiveTranspose(tc.numItems, rows)
-		cols := make([]*Set, tc.numItems)
-		for i := range cols {
-			// Columns sized past the batch with stale high bits: the
-			// kernel must zero everything beyond the live rows.
-			cols[i] = New(tc.numRows + 70)
-			cols[i].Fill()
-		}
-		TransposeInto(cols, rows)
-		for i := range cols {
-			for r := 0; r < tc.numRows+70; r++ {
-				if cols[i].Contains(r) != (r < tc.numRows && want[i].Contains(r)) {
-					t.Fatalf("items=%d rows=%d: col %d row %d = %v, want %v",
-						tc.numItems, tc.numRows, i, r, cols[i].Contains(r), !cols[i].Contains(r))
-				}
-			}
-		}
-
-		// Nil columns are skipped; live ones still come out right.
-		sparse := make([]*Set, tc.numItems)
-		for i := range sparse {
-			if i%3 == 0 {
-				sparse[i] = New(tc.numRows)
-			}
-		}
-		TransposeInto(sparse, rows)
-		for i := range sparse {
-			if i%3 != 0 {
-				continue
-			}
-			if !sparse[i].Equal(want[i]) {
-				t.Fatalf("items=%d rows=%d: sparse col %d = %v, want %v",
-					tc.numItems, tc.numRows, i, sparse[i], want[i])
-			}
-		}
-	}
-
-	// Steady-state reuse must not allocate.
-	rows := make([]*Set, 100)
-	for r := range rows {
-		rows[r] = FromIndices(128, r%128, (r*7)%128)
-	}
-	cols := make([]*Set, 128)
-	for i := range cols {
-		cols[i] = New(100)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		TransposeInto(cols, rows)
-	}); allocs != 0 {
-		t.Errorf("TransposeInto: %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// FuzzBatchKernel pins the batch-classification kernel (MatchRowsInto,
-// FillBelow, TransposeInto) against the naive composition of the
-// pairwise ops, over fuzz-chosen universes, source counts and contents.
+// FuzzBatchKernel pins FillBelow, the BatchScorer's live-row mask,
+// against the naive element loop over fuzz-chosen universes and limits.
 func FuzzBatchKernel(f *testing.F) {
 	f.Add([]byte{64, 2, 0, 1, 1, 2, 0, 63})
 	f.Add([]byte{130, 3, 0, 100, 1, 64, 2, 65, 0, 129})
@@ -270,27 +145,6 @@ func FuzzBatchKernel(f *testing.F) {
 			return
 		}
 		n := int(data[0])%190 + 1
-		nsrc := int(data[1]) % 5
-		srcs := make([]*Set, nsrc)
-		for i := range srcs {
-			srcs[i] = New(n)
-		}
-		for ops := data[2:]; len(ops) >= 2 && nsrc > 0; ops = ops[2:] {
-			srcs[int(ops[0])%nsrc].Add(int(ops[1]) % n)
-		}
-
-		want := New(n)
-		want.Fill()
-		for _, src := range srcs {
-			want.IntersectWith(src)
-		}
-		dst := New(n)
-		dst.Fill()
-		MatchRowsInto(dst, srcs)
-		if !dst.Equal(want) {
-			t.Errorf("MatchRowsInto(%d srcs) = %v, want %v", nsrc, dst, want)
-		}
-
 		limit := int(data[1]) % (n + 10)
 		got := New(n)
 		got.Fill()
@@ -301,20 +155,6 @@ func FuzzBatchKernel(f *testing.F) {
 		}
 		if !got.Equal(naive) {
 			t.Errorf("FillBelow(%d) = %v, want %v", limit, got, naive)
-		}
-
-		// Transpose the srcs as batch rows over the n-item universe.
-		wantCols := naiveTranspose(n, srcs)
-		cols := make([]*Set, n)
-		for i := range cols {
-			cols[i] = New(nsrc)
-			cols[i].Fill()
-		}
-		TransposeInto(cols, srcs)
-		for i := range cols {
-			if !cols[i].Equal(wantCols[i]) {
-				t.Errorf("TransposeInto col %d = %v, want %v", i, cols[i], wantCols[i])
-			}
 		}
 	})
 }

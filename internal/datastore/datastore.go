@@ -1,8 +1,8 @@
 // Package datastore is the versioned dataset subsystem behind the
 // streaming ingestion API: named gene-expression datasets whose every
 // mutation (create, append rows) produces a new immutable snapshot,
-// persisted as one self-contained JSON file per version with the same
-// unique-staging atomic-rename discipline as the job journal. A
+// persisted as one self-contained JSON file per version through the
+// same staging writer as the job journal (internal/atomicfile). A
 // restarted store recovers each dataset at its latest complete
 // version; a torn write from a crash mid-append is at worst a stray
 // .tmp file that recovery deletes.

@@ -8,9 +8,9 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
 )
@@ -54,9 +54,9 @@ func (s *Store) snapshotPath(name string, version int) string {
 	return filepath.Join(s.setDir(name), fmt.Sprintf("v%06d.json", version))
 }
 
-// persist writes one snapshot file with the journal's unique-staging
-// atomic-rename discipline: a crash leaves either the complete file or
-// a stray .tmp that recovery deletes — never a torn snapshot.
+// persist writes one snapshot file through atomicfile.Write: a crash
+// leaves either the complete file or a stray .tmp that recovery
+// deletes — never a torn snapshot.
 func (s *Store) persist(snap *Snapshot) error {
 	if err := os.MkdirAll(s.setDir(snap.Name), 0o755); err != nil {
 		return fmt.Errorf("datastore: %w", err)
@@ -78,34 +78,8 @@ func (s *Store) persist(snap *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("datastore: %w", err)
 	}
-	if err := atomicWrite(s.snapshotPath(snap.Name, snap.Version), data); err != nil {
+	if err := atomicfile.Write(s.snapshotPath(snap.Name, snap.Version), data); err != nil {
 		return fmt.Errorf("datastore: %w", err)
-	}
-	return nil
-}
-
-// atomicWrite stages data in a unique temp file next to path and
-// renames it into place (the job journal's idiom: concurrent writers
-// cannot steal each other's staging file, and a crash never leaves a
-// torn destination).
-func atomicWrite(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()      // vetsuite:allow uncheckederr -- error path, Write failure already reported
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
 	}
 	return nil
 }
@@ -148,6 +122,9 @@ func (s *Store) recover() error {
 // complete snapshot.
 func (s *Store) recoverSet(name string) (*set, error) {
 	dir := s.setDir(name)
+	if err := atomicfile.RemoveStaging(dir); err != nil {
+		return nil, fmt.Errorf("datastore: recover %s: %w", name, err)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("datastore: recover %s: %w", name, err)
@@ -155,10 +132,6 @@ func (s *Store) recoverSet(name string) (*set, error) {
 	var versions []int
 	for _, e := range entries {
 		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			os.Remove(filepath.Join(dir, e.Name())) // vetsuite:allow uncheckederr -- stray staging file from a crashed write
 			continue
 		}
 		m := snapshotFileRE.FindStringSubmatch(e.Name())

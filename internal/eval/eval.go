@@ -8,7 +8,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/c45"
@@ -338,14 +337,4 @@ func FormatTable(results []*Result) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// SortedNames returns map keys sorted, for deterministic reports.
-func SortedNames(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -82,14 +82,6 @@ func TestFormatTable(t *testing.T) {
 	}
 }
 
-func TestSortedNames(t *testing.T) {
-	m := map[string]float64{"b": 1, "a": 2}
-	got := SortedNames(m)
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("SortedNames = %v", got)
-	}
-}
-
 func TestWithDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.MinsupFrac != 0.7 || o.K != 10 || o.NL != 20 || o.IRGMinconf != 0.8 {

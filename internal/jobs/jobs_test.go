@@ -594,3 +594,45 @@ func TestDurationJSON(t *testing.T) {
 		t.Fatal("bad duration accepted")
 	}
 }
+
+// TestRecoveryRemovesStagingFiles: a process that dies between
+// creating a staging file and renaming it leaves <name>.*.tmp behind in
+// the journal or models directory. The next Open must delete them and
+// keep the complete files.
+func TestRecoveryRemovesStagingFiles(t *testing.T) {
+	dir := t.TempDir()
+	m1 := openTest(t, Config{DataDir: dir})
+	d, _ := dataset.RunningExample()
+	rec, err := m1.Submit(Spec{Kind: KindTrain, ModelName: "kept", K: 2, NL: 3, MinsupFrac: 0.5},
+		Data{Dataset: d, Name: "running-example"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, m1, rec.ID)
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	strays := []string{
+		filepath.Join(dir, "jobs", rec.ID+".json.123.tmp"),
+		filepath.Join(dir, "models", "kept.json.456.tmp"),
+	}
+	for _, p := range strays {
+		if err := os.WriteFile(p, []byte(`{"half":`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m2 := openTest(t, Config{DataDir: dir})
+	for _, p := range strays {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("staging file %s survived recovery: %v", filepath.Base(p), err)
+		}
+	}
+	got, err := m2.Get(rec.ID)
+	if err != nil || got.State != StateSucceeded {
+		t.Fatalf("recovered record %+v, err %v", got, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "models", "kept.json")); err != nil {
+		t.Fatalf("complete model file: %v", err)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/rcbt"
 )
 
@@ -19,10 +20,10 @@ func (m *Manager) persist(rec *Record) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(m.jobsDir, rec.ID+".json"), data)
+	return atomicfile.Write(filepath.Join(m.jobsDir, rec.ID+".json"), data)
 }
 
-// saveModel writes a model envelope through atomicWrite: a crashed
+// saveModel writes a model envelope through atomicfile.Write: a crashed
 // train job never leaves a half-written model a restarted server would
 // try to load, and two train jobs saving one model name at once cannot
 // truncate or steal each other's staging file.
@@ -31,42 +32,21 @@ func (m *Manager) saveModel(path string, model *rcbt.Model) error {
 	if err := model.Save(&buf); err != nil {
 		return err
 	}
-	return atomicWrite(path, buf.Bytes())
+	return atomicfile.Write(path, buf.Bytes())
 }
 
-func atomicWrite(path string, data []byte) error {
-	// The temp name is unique per call (not "<path>.tmp") so two
-	// concurrent writers of the same record cannot steal each other's
-	// staging file; the loser's rename just lands second.
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()      // vetsuite:allow uncheckederr -- error path, Write failure already reported
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp) // vetsuite:allow uncheckederr -- best-effort staging cleanup
-		return err
-	}
-	return nil
-}
-
-// recoverJournal creates the data directories and loads every journaled
-// record. Jobs that were queued or running when their process died are
-// rewritten as failed with an interrupted cause — a restarted manager
-// never reports a job it is not actually running.
+// recoverJournal creates the data directories, deletes the staging
+// files of crashed writes, and loads every journaled record. Jobs that
+// were queued or running when their process died are rewritten as
+// failed with an interrupted cause — a restarted manager never reports
+// a job it is not actually running.
 func (m *Manager) recoverJournal() error {
 	for _, dir := range []string{m.jobsDir, m.modelsDir} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("jobs: %w", err)
+		}
+		if err := atomicfile.RemoveStaging(dir); err != nil {
+			return fmt.Errorf("jobs: recover: %w", err)
 		}
 	}
 	paths, err := filepath.Glob(filepath.Join(m.jobsDir, "*.json"))

@@ -71,7 +71,8 @@ type Manager struct {
 	durBucket []int64 // cumulative counts per DurationBuckets entry
 }
 
-// Open creates the data directories, recovers journaled records
+// Open creates the data directories, deletes the staging files of
+// crashed journal and model writes, recovers journaled records
 // (marking jobs that were queued or running when their process died as
 // failed with an interrupted cause), and starts the worker pool. ctx is
 // the base context every job runs under: cancelling it cancels all

@@ -243,9 +243,9 @@ func writeDatasetError(w http.ResponseWriter, err error) {
 // dataset's latest snapshot and submits a train job for it. The job
 // flows through the normal pipeline — journal, worker pool, model
 // persistence — and the server's SetOnModel hook hot-swaps the
-// refreshed model into the serve registry with a fresh prediction
-// cache, so a client polling /v1/models/{name}/classify across the swap
-// only ever sees a fully installed model (old or new).
+// refreshed model into the serve registry with one map write, so a
+// client polling /v1/models/{name}/classify across the swap only ever
+// sees a fully installed model (old or new).
 func (s *Server) fireRefresh(name string) {
 	snap, err := s.store.Get(name)
 	if err != nil {
@@ -296,8 +296,8 @@ func (s *Server) writeModelVersionMetrics(w io.Writer) {
 	}
 	s.mu.RLock()
 	vs := make([]mv, 0, len(s.models))
-	for name, sm := range s.models {
-		vs = append(vs, mv{name, sm.model.Meta.DatasetVersion})
+	for name, m := range s.models {
+		vs = append(vs, mv{name, m.Meta.DatasetVersion})
 	}
 	s.mu.RUnlock()
 	if len(vs) == 0 {

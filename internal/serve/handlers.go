@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sort"
 
+	"repro/internal/dataset"
 	"repro/internal/rcbt"
 )
 
@@ -139,7 +141,7 @@ func (s *Server) handleClassifyModel(w http.ResponseWriter, r *http.Request) {
 	if !bindModelName(w, r, &req.Model) {
 		return
 	}
-	sm, ok := s.lookupModel(w, r, req.Model)
+	m, ok := s.lookupModel(w, r, req.Model)
 	if !ok {
 		return
 	}
@@ -147,12 +149,12 @@ func (s *Server) handleClassifyModel(w http.ResponseWriter, r *http.Request) {
 		writeClassifyError(w, err)
 		return
 	}
-	label, idx, err := sm.classify(req.Values, req.Items)
+	label, idx, err := classify(m, req.Values, req.Items)
 	if err != nil {
 		writeClassifyError(w, err)
 		return
 	}
-	class := sm.model.ClassName(label)
+	class := m.ClassName(label)
 	s.metrics.recordPrediction(req.Model, class)
 	writeJSON(w, http.StatusOK, ClassifyResponse{
 		Model:      req.Model,
@@ -170,7 +172,7 @@ func (s *Server) handleBatchModel(w http.ResponseWriter, r *http.Request) {
 	if !bindModelName(w, r, &req.Model) {
 		return
 	}
-	sm, ok := s.lookupModel(w, r, req.Model)
+	m, ok := s.lookupModel(w, r, req.Model)
 	if !ok {
 		return
 	}
@@ -185,12 +187,12 @@ func (s *Server) handleBatchModel(w http.ResponseWriter, r *http.Request) {
 			writeClassifyError(w, err)
 			return
 		}
-		label, idx, err := sm.classify(row.Values, row.Items)
+		label, idx, err := classify(m, row.Values, row.Items)
 		if err != nil {
 			results[i] = BatchResult{Label: -1, Classifier: -1, Error: err.Error()}
 			continue
 		}
-		class := sm.model.ClassName(label)
+		class := m.ClassName(label)
 		s.metrics.recordPrediction(req.Model, class)
 		results[i] = BatchResult{Label: int(label), Class: class, Classifier: idx}
 	}
@@ -265,17 +267,8 @@ func decodeBatchRequest(w http.ResponseWriter, r *http.Request, maxB int) (*Batc
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	models := make(map[string]*rcbt.Model, len(s.models))
-	for name, sm := range s.models {
-		models[name] = sm.model
-	}
-	s.mu.RUnlock()
-	infos := make([]ModelInfo, 0, len(models))
-	for _, name := range s.ModelNames() {
-		m, ok := models[name]
-		if !ok { // registered between the snapshot and ModelNames
-			continue
-		}
+	infos := make([]ModelInfo, 0, len(s.models))
+	for name, m := range s.models {
 		info := ModelInfo{
 			Name:           name,
 			Classes:        m.ClassNames,
@@ -291,6 +284,8 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		infos = append(infos, info)
 	}
+	s.mu.RUnlock()
+	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, http.StatusOK, map[string][]ModelInfo{"models": infos})
 }
 
@@ -301,7 +296,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.writeProm(w)
-	s.writeCacheMetrics(w)
 	s.writeModelVersionMetrics(w)
 	if s.jobs != nil {
 		writeJobMetrics(w, s.jobs.Metrics())
@@ -318,7 +312,23 @@ type shapeError string
 
 func (e shapeError) Error() string { return string(e) }
 
-func (s *Server) lookupModel(w http.ResponseWriter, r *http.Request, name string) (*servedModel, bool) {
+// classify labels one request row and is the only code in the package
+// that does. It checks the values/items one-of (a 400), then leaves
+// every row check and the rule walk to m.PredictValues or
+// m.PredictItems.
+func classify(m *rcbt.Model, values []float64, items []int) (dataset.Label, int, error) {
+	switch {
+	case len(values) > 0 && len(items) > 0:
+		return -1, -1, shapeError("set exactly one of values or items, not both")
+	case len(values) > 0:
+		return m.PredictValues(values)
+	case len(items) > 0:
+		return m.PredictItems(items)
+	}
+	return -1, -1, shapeError("set one of values or items")
+}
+
+func (s *Server) lookupModel(w http.ResponseWriter, r *http.Request, name string) (*rcbt.Model, bool) {
 	s.mu.RLock()
 	m, ok := s.models[name]
 	s.mu.RUnlock()
@@ -338,10 +348,10 @@ const peerFetchHeader = "X-Rcbt-Peer-Fetch"
 
 // pullFromPeers fetches the named model's envelope from the first
 // configured peer that has it, registers it locally, and returns the
-// served model — the replication read path. It returns nil when peers
-// are not configured, the incoming request is itself a peer fetch
-// (loop guard), or no peer has the model.
-func (s *Server) pullFromPeers(r *http.Request, name string) *servedModel {
+// model — the replication read path. It returns nil when peers are not
+// configured, the incoming request is itself a peer fetch (loop
+// guard), or no peer has the model.
+func (s *Server) pullFromPeers(r *http.Request, name string) *rcbt.Model {
 	if len(s.peers) == 0 || r.Header.Get(peerFetchHeader) != "" {
 		return nil
 	}
@@ -359,10 +369,7 @@ func (s *Server) pullFromPeers(r *http.Request, name string) *servedModel {
 		if s.logger != nil {
 			s.logger.Info("model pulled from peer", "peer", peer, "model", name)
 		}
-		s.mu.RLock()
-		sm := s.models[name]
-		s.mu.RUnlock()
-		return sm
+		return m
 	}
 	return nil
 }
@@ -391,16 +398,16 @@ func (s *Server) fetchPeerModel(ctx context.Context, peer, name string) (*rcbt.M
 func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	s.mu.RLock()
-	sm, ok := s.models[name]
+	m, ok := s.models[name]
 	s.mu.RUnlock()
 	if !ok {
-		if sm = s.pullFromPeers(r, name); sm == nil {
+		if m = s.pullFromPeers(r, name); m == nil {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", name))
 			return
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := sm.model.Save(w); err != nil && s.logger != nil {
+	if err := m.Save(w); err != nil && s.logger != nil {
 		s.logger.Error("write model envelope", "model", name, "err", err)
 	}
 }

@@ -5,39 +5,12 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/jobs"
 )
-
-// metricPath collapses the high-cardinality path segments (model
-// names, job ids) to their route wildcards, so requests_total keeps a
-// bounded label set no matter how many models or jobs exist.
-func metricPath(p string) string {
-	if rest, ok := strings.CutPrefix(p, "/v1/models/"); ok && rest != "" {
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			return "/v1/models/{name}" + rest[i:]
-		}
-		return "/v1/models/{name}"
-	}
-	if rest, ok := strings.CutPrefix(p, "/v1/jobs/"); ok && rest != "" {
-		return "/v1/jobs/{id}"
-	}
-	if rest, ok := strings.CutPrefix(p, "/v1/datasets/"); ok && rest != "" {
-		tail := ""
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			tail = rest[i:]
-			if strings.HasPrefix(tail, "/versions/") && len(tail) > len("/versions/") {
-				tail = "/versions/{v}"
-			}
-		}
-		return "/v1/datasets/{name}" + tail
-	}
-	return p
-}
 
 // latencyBuckets are the upper bounds (seconds) of the request latency
 // histogram, chosen for a CPU-bound classifier: most single-row
@@ -136,44 +109,6 @@ func (m *metrics) writeProm(w io.Writer) {
 	fmt.Fprintln(w, "# HELP rcbtserved_in_flight Requests currently being served.")
 	fmt.Fprintln(w, "# TYPE rcbtserved_in_flight gauge")
 	fmt.Fprintf(w, "rcbtserved_in_flight %d\n", m.inFlight.Load())
-}
-
-// writeCacheMetrics renders each cache-enabled model's prediction
-// cache counters. A hot-swap replaces the cache, so a reset of these
-// counters is itself the observable signal that a model was reloaded.
-func (s *Server) writeCacheMetrics(w io.Writer) {
-	type modelCounters struct {
-		name string
-		c    cacheCounters
-	}
-	s.mu.RLock()
-	snaps := make([]modelCounters, 0, len(s.models))
-	for name, sm := range s.models {
-		if sm.cache != nil {
-			snaps = append(snaps, modelCounters{name, sm.cache.counters()})
-		}
-	}
-	s.mu.RUnlock()
-	if len(snaps) == 0 {
-		return
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].name < snaps[j].name })
-
-	fmt.Fprintln(w, "# HELP rcbtserved_predict_cache_hits_total Prediction cache hits by model.")
-	fmt.Fprintln(w, "# TYPE rcbtserved_predict_cache_hits_total counter")
-	for _, sn := range snaps {
-		fmt.Fprintf(w, "rcbtserved_predict_cache_hits_total{model=%q} %d\n", sn.name, sn.c.hits)
-	}
-	fmt.Fprintln(w, "# HELP rcbtserved_predict_cache_misses_total Prediction cache misses by model.")
-	fmt.Fprintln(w, "# TYPE rcbtserved_predict_cache_misses_total counter")
-	for _, sn := range snaps {
-		fmt.Fprintf(w, "rcbtserved_predict_cache_misses_total{model=%q} %d\n", sn.name, sn.c.misses)
-	}
-	fmt.Fprintln(w, "# HELP rcbtserved_predict_cache_evictions_total Prediction cache LRU evictions by model.")
-	fmt.Fprintln(w, "# TYPE rcbtserved_predict_cache_evictions_total counter")
-	for _, sn := range snaps {
-		fmt.Fprintf(w, "rcbtserved_predict_cache_evictions_total{model=%q} %d\n", sn.name, sn.c.evictions)
-	}
 }
 
 // writeJobMetrics renders the job manager's counters after the request

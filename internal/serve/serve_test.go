@@ -314,6 +314,41 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestUnroutedPathsShareOneSeries: requests_total is labelled by route,
+// so any number of distinct unrouted URLs add one series, not one per
+// URL. A wrong method on a routed path counts as unmatched too.
+func TestUnroutedPathsShareOneSeries(t *testing.T) {
+	s := newTestServer(t, Config{Models: map[string]*rcbt.Model{"example": exampleModel(t)}})
+	const n = 50
+	for i := 0; i < n; i++ {
+		for _, p := range []string{
+			fmt.Sprintf("/junk/%d", i),
+			fmt.Sprintf("/v1/models/example/x%d", i),
+			fmt.Sprintf("/v1/datasets/a/b%d", i),
+		} {
+			if rec := getJSON(t, s, p); rec.Code != http.StatusNotFound {
+				t.Fatalf("GET %s: status %d, want 404", p, rec.Code)
+			}
+		}
+	}
+	if rec := getJSON(t, s, "/v1/models/example/classify"); rec.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET classify: status %d, want 405", rec.Code)
+	}
+	var series []string
+	for _, line := range strings.Split(getJSON(t, s, "/metrics").Body.String(), "\n") {
+		if strings.HasPrefix(line, "rcbtserved_requests_total{") {
+			series = append(series, line)
+		}
+	}
+	want := []string{
+		fmt.Sprintf(`rcbtserved_requests_total{path="unmatched",code="404"} %d`, 3*n),
+		`rcbtserved_requests_total{path="unmatched",code="405"} 1`,
+	}
+	if strings.Join(series, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("requests_total series:\n%s\nwant:\n%s", strings.Join(series, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // TestErrorEnvelope pins the unified {"error":{"code","message"}}
 // shape across handler families.
 func TestErrorEnvelope(t *testing.T) {
@@ -501,7 +536,7 @@ func TestServedModelFromEnvelopeRoundTrip(t *testing.T) {
 // TestClassifierOnlyEnvelopeServes: an envelope written by
 // Classifier.Save has no numItems and no discretizer. LoadModel sizes
 // its universe from the rules, and both classify routes serve it on the
-// same cached path as every other model.
+// same path as every other model.
 func TestClassifierOnlyEnvelopeServes(t *testing.T) {
 	m := exampleModel(t)
 	var buf bytes.Buffer

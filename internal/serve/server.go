@@ -21,10 +21,11 @@
 // Job submissions reference datastore datasets as "{name}" (latest
 // snapshot) or "{name}@{v}" (pinned version; 409 once pruned).
 //
-// Both classify routes label each row the same way: the row is
-// discretized, looked up in the model's prediction cache, and on a miss
-// walked through the classifier's rules. Every error body is the
-// unified envelope {"error":{"code","message"}}.
+// Both classify routes label each row the same way, with
+// rcbt.Model.PredictValues or PredictItems (discretize, then walk the
+// main and standby rule lists). Nothing is cached per model, so a
+// hot-swap is one map write. Every error body is the unified envelope
+// {"error":{"code","message"}}.
 //
 // With Config.Peers set, a model lookup that misses locally pulls the
 // envelope from the first peer replica that has it (GET
@@ -43,6 +44,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -60,6 +62,15 @@ const (
 	// DefaultRefreshAfter is the auto-refresh debounce: how long a
 	// dataset's appends must go quiet before a re-train job fires.
 	DefaultRefreshAfter = 150 * time.Millisecond
+
+	// DefaultCacheSize is not used by the server, which keeps no
+	// prediction cache. It stays exported because the repository
+	// benchmark sizes classify-open's row pool from it (twice this
+	// value), and changing it would change that workload.
+	DefaultCacheSize = 4096
+
+	// peerFetchTimeout bounds one peer model fetch.
+	peerFetchTimeout = 5 * time.Second
 )
 
 // NamedDataset is a training dataset registered under a name, so job
@@ -123,14 +134,12 @@ type Config struct {
 	// GET /v1/models/{name}; the fetched envelope is registered and
 	// served (pull-on-miss). Empty disables replication.
 	Peers []string
-	// PeerTimeout bounds one peer model fetch (0 = 5s).
-	PeerTimeout time.Duration
 }
 
 // Server is an http.Handler serving the classification API.
 type Server struct {
 	mu       sync.RWMutex // guards models: train jobs register into a live server
-	models   map[string]*servedModel
+	models   map[string]*rcbt.Model
 	jobs     *jobs.Manager
 	datasets map[string]NamedDataset
 	timeout  time.Duration
@@ -156,7 +165,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("serve: no models configured and no jobs manager")
 	}
 	s := &Server{
-		models:   make(map[string]*servedModel, len(cfg.Models)),
+		models:   make(map[string]*rcbt.Model, len(cfg.Models)),
 		jobs:     cfg.Jobs,
 		datasets: cfg.Datasets,
 		store:    cfg.Store,
@@ -173,11 +182,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if len(cfg.Peers) > 0 {
 		s.peers = append([]string(nil), cfg.Peers...)
-		timeout := cfg.PeerTimeout
-		if timeout == 0 {
-			timeout = 5 * time.Second
-		}
-		s.peerClient = &http.Client{Timeout: timeout}
+		s.peerClient = &http.Client{Timeout: peerFetchTimeout}
 	}
 	for name, m := range cfg.Models {
 		if err := s.RegisterModel(name, m); err != nil {
@@ -185,17 +190,17 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/models/{name}/classify", s.handleClassifyModel)
-	s.mux.HandleFunc("POST /v1/models/{name}/classify/batch", s.handleBatchModel)
-	s.mux.HandleFunc("GET /v1/models", s.handleModels)
-	s.mux.HandleFunc("GET /v1/models/{name}", s.handleModelGet)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.handle("POST /v1/models/{name}/classify", s.handleClassifyModel)
+	s.handle("POST /v1/models/{name}/classify/batch", s.handleBatchModel)
+	s.handle("GET /v1/models", s.handleModels)
+	s.handle("GET /v1/models/{name}", s.handleModelGet)
+	s.handle("GET /healthz", s.handleHealthz)
+	s.handle("GET /metrics", s.handleMetrics)
 	if s.jobs != nil {
-		s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
-		s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-		s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-		s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
+		s.handle("POST /v1/jobs", s.handleJobSubmit)
+		s.handle("GET /v1/jobs", s.handleJobList)
+		s.handle("GET /v1/jobs/{id}", s.handleJobGet)
+		s.handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
 		s.reloadJobModels()
 		s.jobs.SetOnModel(func(name string, m *rcbt.Model) {
 			if err := s.RegisterModel(name, m); err != nil && s.logger != nil {
@@ -204,11 +209,11 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 	if s.store != nil {
-		s.mux.HandleFunc("POST /v1/datasets", s.handleDatasetCreate)
-		s.mux.HandleFunc("GET /v1/datasets", s.handleDatasetList)
-		s.mux.HandleFunc("GET /v1/datasets/{name}", s.handleDatasetGet)
-		s.mux.HandleFunc("GET /v1/datasets/{name}/versions/{v}", s.handleDatasetGetVersion)
-		s.mux.HandleFunc("POST /v1/datasets/{name}/rows", s.handleDatasetAppend)
+		s.handle("POST /v1/datasets", s.handleDatasetCreate)
+		s.handle("GET /v1/datasets", s.handleDatasetList)
+		s.handle("GET /v1/datasets/{name}", s.handleDatasetGet)
+		s.handle("GET /v1/datasets/{name}/versions/{v}", s.handleDatasetGetVersion)
+		s.handle("POST /v1/datasets/{name}/rows", s.handleDatasetAppend)
 		if s.jobs != nil && cfg.RefreshAfter >= 0 {
 			after := cfg.RefreshAfter
 			if after == 0 {
@@ -223,10 +228,8 @@ func New(cfg Config) (*Server, error) {
 
 // RegisterModel atomically adds or replaces a served model; requests
 // already classifying against a replaced model finish on the old one.
-// The replacement carries a fresh prediction cache, so a hot-swap
-// empties the name's cached classifications — the old model's labels
-// can never leak through the new model. A model without a discretizer
-// must have an item universe (NumItems > 0) for item-id rows to index.
+// A model without a discretizer must have an item universe
+// (NumItems > 0) for item-id rows to index.
 func (s *Server) RegisterModel(name string, m *rcbt.Model) error {
 	if name == "" {
 		return errors.New("serve: empty model name")
@@ -237,9 +240,8 @@ func (s *Server) RegisterModel(name string, m *rcbt.Model) error {
 	if m.NumItems < 0 || (m.NumItems == 0 && m.Discretizer == nil) {
 		return fmt.Errorf("serve: model %q has no item universe", name)
 	}
-	sm := newServedModel(m)
 	s.mu.Lock()
-	s.models[name] = sm
+	s.models[name] = m
 	s.mu.Unlock()
 	return nil
 }
@@ -302,7 +304,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(sw, r)
 
 	elapsed := time.Since(start)
-	s.metrics.recordRequest(metricPath(r.URL.Path), sw.code(), elapsed)
+	route := sw.route
+	if route == "" {
+		route = "unmatched"
+	}
+	s.metrics.recordRequest(route, sw.code(), elapsed)
 	if s.logger != nil {
 		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("method", r.Method),
@@ -314,10 +320,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statusWriter captures the status code for logging and metrics.
+// handle registers h under pattern ("METHOD /path") on the mux. The
+// requests it routes are counted in requests_total under the pattern's
+// path, so the label set is the route table no matter what URLs
+// clients send; anything the mux answers itself (404, 405) counts as
+// "unmatched".
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	_, path, _ := strings.Cut(pattern, " ")
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		w.(*statusWriter).route = path // ServeHTTP hands the mux a *statusWriter
+		h(w, r)
+	})
+}
+
+// statusWriter captures the status code for logging and metrics, and
+// the route for the requests_total label.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	route  string
 }
 
 func (w *statusWriter) WriteHeader(code int) {

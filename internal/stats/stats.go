@@ -32,32 +32,6 @@ func Entropy(counts []int) float64 {
 	return h
 }
 
-// WeightedEntropy returns the class-count-weighted average entropy of a
-// partition, where parts[i] is the label count vector of block i.
-func WeightedEntropy(parts [][]int) float64 {
-	total := 0
-	for _, p := range parts {
-		for _, c := range p {
-			total += c
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, p := range parts {
-		n := 0
-		for _, c := range p {
-			n += c
-		}
-		if n == 0 {
-			continue
-		}
-		h += float64(n) / float64(total) * Entropy(p)
-	}
-	return h
-}
-
 // LabeledValue pairs one sample's value for a single gene with its class.
 type LabeledValue struct {
 	Value float64
@@ -201,30 +175,4 @@ func Rank(scores []float64) []int {
 		}
 	}
 	return ranks
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }

@@ -46,21 +46,6 @@ func TestEntropyBounds(t *testing.T) {
 	}
 }
 
-func TestWeightedEntropy(t *testing.T) {
-	// Pure blocks → 0.
-	if got := WeightedEntropy([][]int{{4, 0}, {0, 6}}); !almostEqual(got, 0) {
-		t.Fatalf("pure partition entropy = %v", got)
-	}
-	// Single block equals plain entropy.
-	if got := WeightedEntropy([][]int{{3, 1}}); !almostEqual(got, Entropy([]int{3, 1})) {
-		t.Fatalf("single block = %v", got)
-	}
-	// Empty input.
-	if got := WeightedEntropy(nil); got != 0 {
-		t.Fatalf("empty = %v", got)
-	}
-}
-
 func TestBestBinarySplitSeparable(t *testing.T) {
 	vs := []LabeledValue{
 		{1, 0}, {2, 0}, {3, 0}, {10, 1}, {11, 1},
@@ -187,19 +172,6 @@ func TestRank(t *testing.T) {
 	}
 	if got := Rank(nil); len(got) != 0 {
 		t.Fatalf("Rank(nil) = %v", got)
-	}
-}
-
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); !almostEqual(got, 5) {
-		t.Fatalf("Mean = %v", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2) {
-		t.Fatalf("StdDev = %v", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("empty input should give 0")
 	}
 }
 
