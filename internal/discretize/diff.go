@@ -5,10 +5,11 @@ package discretize
 // RefreshStats.ChangedGenes.
 //
 // Equality here is exact float64 equality on purpose: cut points are
-// deterministic midpoints computed by stats.BestBinarySplit, so two
-// fits over identical data produce bit-identical cuts, and any
-// difference — however small — moves at least one row across an
-// interval boundary in principle.
+// deterministic — stats.BestBinarySplit puts each at a boundary's
+// midpoint, or at its upper value when the midpoint falls outside
+// (a, b] — so two fits over identical data produce bit-identical cuts
+// at any worker count, and any difference — however small — moves at
+// least one row across an interval boundary in principle.
 
 // EqualCuts reports whether two cut-point lists are identical
 // (same length, same values, element-wise).

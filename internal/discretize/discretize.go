@@ -4,12 +4,23 @@
 // partition the paper uses. Genes for which MDL accepts no cut point
 // carry no class information and are dropped, so discretization doubles
 // as feature selection ("# Genes after Discretization" in Table 1).
+//
+// FitMatrix fits genes in parallel on at most GOMAXPROCS goroutines.
+// One goroutine fits each gene, so the cut points do not depend on how
+// many there are. The cut at a boundary between adjacent training
+// values a < b is their midpoint when that lies in (a, b] and b when it
+// rounds down to a or overflows. Values below a cut go to its left and
+// values at or above it to its right, in the fit as in Transform.
 package discretize
 
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -28,8 +39,16 @@ type Discretizer struct {
 	itemStart []int // first item id of each gene; -1 for dropped genes
 }
 
-// FitMatrix learns MDL-accepted cut points for every gene of m.
+// FitMatrix learns MDL-accepted cut points for every gene of m. It fits
+// genes on GOMAXPROCS goroutines at most.
 func FitMatrix(m *dataset.Matrix) (*Discretizer, error) {
+	return fitMatrix(m, runtime.GOMAXPROCS(0))
+}
+
+// fitMatrix is FitMatrix on at most workers goroutines. Each takes gene
+// indices from a shared counter and writes only those genes' Cuts, so
+// the result does not depend on the worker count.
+func fitMatrix(m *dataset.Matrix, workers int) (*Discretizer, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -38,85 +57,127 @@ func FitMatrix(m *dataset.Matrix) (*Discretizer, error) {
 		GeneNames:  append([]string(nil), m.GeneNames...),
 		ClassNames: append([]string(nil), m.ClassNames...),
 	}
-	labels := make([]int, m.NumRows())
-	for r, l := range m.Labels {
-		labels[r] = int(l)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, m.NumGenes()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := newGeneFitter(m)
+			for {
+				g := int(next.Add(1)) - 1
+				if g >= len(dz.Cuts) {
+					return
+				}
+				dz.Cuts[g] = f.fit(g)
+			}
+		}()
 	}
-	k := len(m.ClassNames)
-	vs := make([]stats.LabeledValue, m.NumRows())
-	for g := 0; g < m.NumGenes(); g++ {
-		for r := range m.Values {
-			vs[r] = stats.LabeledValue{Value: m.Values[r][g], Label: labels[r]}
-		}
-		stats.SortLabeledValues(vs)
-		var cuts []float64
-		mdlPartition(vs, k, &cuts)
-		sort.Float64s(cuts)
-		dz.Cuts[g] = cuts
-	}
+	wg.Wait()
 	dz.buildItems()
 	return dz, nil
 }
 
-// mdlPartition recursively splits the sorted labeled values, appending
-// accepted cut points.
-func mdlPartition(vs []stats.LabeledValue, numClasses int, cuts *[]float64) {
-	cut, gain, ok := stats.BestBinarySplit(vs, numClasses)
+// geneFitter holds one goroutine's scratch for fitting genes of m.
+type geneFitter struct {
+	m      *dataset.Matrix
+	vs     []stats.LabeledValue
+	counts []int // class counts of a segment, then of its two halves
+	cuts   []float64
+}
+
+func newGeneFitter(m *dataset.Matrix) *geneFitter {
+	k := len(m.ClassNames)
+	return &geneFitter{
+		m:      m,
+		vs:     make([]stats.LabeledValue, m.NumRows()),
+		counts: make([]int, 3*k),
+	}
+}
+
+// fit returns gene g's accepted cut points in ascending order, or nil
+// when MDL accepts none.
+func (f *geneFitter) fit(g int) []float64 {
+	for r, row := range f.m.Values {
+		f.vs[r] = stats.LabeledValue{Value: row[g], Label: int(f.m.Labels[r])}
+	}
+	stats.SortLabeledValues(f.vs)
+	f.cuts = f.cuts[:0]
+	f.partition(f.vs)
+	if len(f.cuts) == 0 {
+		return nil
+	}
+	cuts := slices.Clone(f.cuts)
+	slices.Sort(cuts)
+	return cuts
+}
+
+// partition recursively splits the sorted labeled values, appending
+// accepted cut points. Values below a cut go left and values at or
+// above it go right, as Transform assigns them.
+func (f *geneFitter) partition(vs []stats.LabeledValue) {
+	k := len(f.m.ClassNames)
+	cut, gain, ok := stats.BestBinarySplit(vs, k)
 	if !ok {
 		return
 	}
-	// Locate the boundary index: first element with value > cut.
-	b := sort.Search(len(vs), func(i int) bool { return vs[i].Value > cut })
-	left, right := vs[:b], vs[b:]
-	if !mdlAccepts(vs, left, right, gain) {
+	s, s1, s2 := f.counts[:k], f.counts[k:2*k], f.counts[2*k:]
+	clear(s1)
+	clear(s2)
+	b := 0
+	for i, v := range vs {
+		if v.Value < cut {
+			s1[v.Label]++
+			b = i + 1
+		} else {
+			s2[v.Label]++
+		}
+	}
+	for c := range s {
+		s[c] = s1[c] + s2[c]
+	}
+	if gain <= mdlThreshold(s, s1, s2) {
 		return
 	}
-	*cuts = append(*cuts, cut)
-	mdlPartition(left, numClasses, cuts)
-	mdlPartition(right, numClasses, cuts)
+	f.cuts = append(f.cuts, cut)
+	f.partition(vs[:b])
+	f.partition(vs[b:])
 }
 
-// mdlAccepts applies the Fayyad–Irani MDLPC criterion:
+// mdlThreshold is the information gain a split of S into S1 and S2 must
+// exceed under the Fayyad–Irani MDLPC criterion, given the class counts
+// of each part:
 //
 //	Gain(S;T) > log2(N-1)/N + Δ(S;T)/N
 //	Δ(S;T) = log2(3^k - 2) - [k·H(S) - k1·H(S1) - k2·H(S2)]
 //
 // where k, k1, k2 are the numbers of distinct classes present in S, S1,
-// S2.
-func mdlAccepts(s, s1, s2 []stats.LabeledValue, gain float64) bool {
-	n := float64(len(s))
-	if n < 2 {
-		return false
+// S2. Entropies sum in class-index order, so given counts always give
+// the same threshold, bit for bit.
+func mdlThreshold(s, s1, s2 []int) float64 {
+	n := 0
+	for _, c := range s {
+		n += c
 	}
-	k := float64(distinctClasses(s))
-	k1 := float64(distinctClasses(s1))
-	k2 := float64(distinctClasses(s2))
-	h := entropyOf(s)
-	h1 := entropyOf(s1)
-	h2 := entropyOf(s2)
+	k := classesPresent(s)
+	k1 := classesPresent(s1)
+	k2 := classesPresent(s2)
+	h := stats.Entropy(s)
+	h1 := stats.Entropy(s1)
+	h2 := stats.Entropy(s2)
 	delta := math.Log2(math.Pow(3, k)-2) - (k*h - k1*h1 - k2*h2)
-	threshold := (math.Log2(n-1) + delta) / n
-	return gain > threshold
+	return (math.Log2(float64(n)-1) + delta) / float64(n)
 }
 
-func distinctClasses(vs []stats.LabeledValue) int {
-	seen := map[int]bool{}
-	for _, v := range vs {
-		seen[v.Label] = true
-	}
-	return len(seen)
-}
-
-func entropyOf(vs []stats.LabeledValue) float64 {
-	counts := map[int]int{}
-	for _, v := range vs {
-		counts[v.Label]++
-	}
-	flat := make([]int, 0, len(counts))
+// classesPresent counts the nonzero entries of a class count vector.
+func classesPresent(counts []int) float64 {
+	k := 0
 	for _, c := range counts {
-		flat = append(flat, c)
+		if c > 0 {
+			k++
+		}
 	}
-	return stats.Entropy(flat)
+	return float64(k)
 }
 
 // buildItems enumerates the item table: one item per interval of each

@@ -44,6 +44,59 @@ func TestFitSelectsInformativeGene(t *testing.T) {
 	}
 }
 
+// TestFitCutSeparatesAdjacentValues fits one gene whose two classes sit
+// on two values a < b with no exact midpoint. Halfway between adjacent
+// floats rounds to a or to b, and the sum of two values near either end
+// of the float range overflows. Each pair must get exactly one cut that
+// puts a's rows and b's rows on different items. Cutting at a midpoint
+// equal to b, or at +Inf, once left the whole gene on one side of the
+// cut and recursed until the stack overflowed; cutting at a put a's rows
+// in b's interval.
+func TestFitCutSeparatesAdjacentValues(t *testing.T) {
+	cases := []struct {
+		name    string
+		a, b    float64
+		wantCut float64
+	}{
+		{"midpoint rounds up", 1.0000000000000002, 1.0000000000000004, 1.0000000000000004},
+		{"midpoint overflows", 1e308, 1.5e308, 1.5e308},
+		{"midpoint overflows to -Inf", -1.5e308, -1e308, -1e308},
+		{"midpoint rounds down", 1, 1.0000000000000002, 1.0000000000000002},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := &dataset.Matrix{GeneNames: []string{"g"}, ClassNames: []string{"pos", "neg"}}
+			for i := 0; i < 20; i++ {
+				v, l := c.a, dataset.Label(0)
+				if i%2 == 1 {
+					v, l = c.b, 1
+				}
+				m.Values = append(m.Values, []float64{v})
+				m.Labels = append(m.Labels, l)
+			}
+			dz, err := FitMatrix(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []float64{c.wantCut}; !reflect.DeepEqual(dz.Cuts[0], want) {
+				t.Fatalf("cuts = %v, want %v", dz.Cuts[0], want)
+			}
+			d, err := dz.Transform(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Rows[0][0] == d.Rows[1][0] {
+				t.Fatalf("rows at %v and %v share item %d", c.a, c.b, d.Rows[0][0])
+			}
+			for r, row := range d.Rows {
+				if row[0] != d.Rows[r%2][0] {
+					t.Fatalf("row %d at %v on item %d, want %d", r, m.Values[r][0], row[0], d.Rows[r%2][0])
+				}
+			}
+		})
+	}
+}
+
 func TestTransformProducesOneItemPerSelectedGene(t *testing.T) {
 	m := sepMatrix()
 	dz, err := FitMatrix(m)

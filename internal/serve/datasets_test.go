@@ -150,6 +150,38 @@ func TestDatasetCRUD(t *testing.T) {
 	}
 }
 
+// TestDatasetAdjacentFloatValues creates a one-gene dataset whose
+// classes sit on two adjacent floats, then appends rows whose values
+// overflow when summed. The boundary midpoint of the first pair rounds
+// up to the larger value and that of the second is +Inf; either used to
+// send the fit into unbounded recursion and kill the server with a
+// stack overflow.
+func TestDatasetAdjacentFloatValues(t *testing.T) {
+	s, _ := newStreamServer(t, -1, 0)
+	rowsOf := func(a, b string, n int) string {
+		rows := make([]string, 0, 2*n)
+		for i := 0; i < n; i++ {
+			rows = append(rows, `{"values":[`+a+`],"label":"a"}`, `{"values":[`+b+`],"label":"b"}`)
+		}
+		return `"rows":[` + strings.Join(rows, ",") + `]`
+	}
+	rec := postJSON(t, s, "/v1/datasets",
+		`{"name":"adj","classes":["a","b"],"genes":["g"],`+rowsOf("1.0000000000000002", "1.0000000000000004", 10)+`}`)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	if info := decodeDatasetInfo(t, rec.Body); info.Rows != 20 || info.SelectedGenes != 1 {
+		t.Fatalf("create info %+v: want 20 rows, 1 selected gene", info)
+	}
+	rec = postJSON(t, s, "/v1/datasets/adj/rows", `{`+rowsOf("1e308", "1.5e308", 10)+`}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("append: status %d: %s", rec.Code, rec.Body)
+	}
+	if info := decodeDatasetInfo(t, rec.Body); info.Rows != 40 || info.SelectedGenes != 1 {
+		t.Fatalf("append info %+v: want 40 rows, 1 selected gene", info)
+	}
+}
+
 // TestJobDatasetResolution covers the name / name@version job routing:
 // latest, pinned, pruned (409), malformed (422), and the static-map
 // fallback.

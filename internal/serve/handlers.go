@@ -206,39 +206,39 @@ func (s *Server) handleBatchModel(w http.ResponseWriter, r *http.Request) {
 func decodeBatchRequest(w http.ResponseWriter, r *http.Request, maxB int) (*BatchRequest, bool) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	bad := func(msg string) (*BatchRequest, bool) {
-		writeError(w, http.StatusBadRequest, "malformed request: "+msg)
+	bad := func(err error) (*BatchRequest, bool) {
+		writeDecodeError(w, err)
 		return nil, false
 	}
 	tok, err := dec.Token()
 	if err != nil {
-		return bad(err.Error())
+		return bad(err)
 	}
 	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return bad("request body must be a JSON object")
+		return bad(errors.New("request body must be a JSON object"))
 	}
 	req := &BatchRequest{}
 	for dec.More() {
 		keyTok, err := dec.Token()
 		if err != nil {
-			return bad(err.Error())
+			return bad(err)
 		}
 		key, _ := keyTok.(string)
 		switch key {
 		case "model":
 			if err := dec.Decode(&req.Model); err != nil {
-				return bad(err.Error())
+				return bad(err)
 			}
 		case "rows":
 			tok, err := dec.Token()
 			if err != nil {
-				return bad(err.Error())
+				return bad(err)
 			}
 			if tok == nil { // "rows": null, same as absent
 				continue
 			}
 			if d, ok := tok.(json.Delim); !ok || d != '[' {
-				return bad("rows must be an array")
+				return bad(errors.New("rows must be an array"))
 			}
 			for dec.More() {
 				if len(req.Rows) >= maxB {
@@ -248,19 +248,19 @@ func decodeBatchRequest(w http.ResponseWriter, r *http.Request, maxB int) (*Batc
 				}
 				var row BatchRow
 				if err := dec.Decode(&row); err != nil {
-					return bad(err.Error())
+					return bad(err)
 				}
 				req.Rows = append(req.Rows, row)
 			}
 			if _, err := dec.Token(); err != nil { // closing ']'
-				return bad(err.Error())
+				return bad(err)
 			}
 		default:
-			return bad(fmt.Sprintf("unknown field %q", key))
+			return bad(fmt.Errorf("unknown field %q", key))
 		}
 	}
 	if _, err := dec.Token(); err != nil { // closing '}'
-		return bad(err.Error())
+		return bad(err)
 	}
 	return req, true
 }
@@ -416,10 +416,22 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
+		writeDecodeError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeDecodeError answers a request body the JSON decoder gave up on:
+// 413 when it ran past maxBodyBytes, 400 otherwise.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 }
 
 func writeClassifyError(w http.ResponseWriter, err error) {

@@ -383,6 +383,34 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestBodyOverCapTooLarge sends a dataset create and a batch classify
+// whose bodies pass the maxBodyBytes cap. Both must answer 413
+// too_large, not 400 as a malformed body does.
+func TestBodyOverCapTooLarge(t *testing.T) {
+	s, _ := newStreamServer(t, -1, 0)
+	if err := s.RegisterModel("example", exampleModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	row := `{"values":[1],"label":"a"},`
+	create := `{"name":"big","classes":["a","b"],"genes":["g"],"rows":[` +
+		strings.Repeat(row, maxBodyBytes/len(row)+1) + `{"values":[2],"label":"b"}]}`
+	batch := `{"model":"` + strings.Repeat("m", maxBodyBytes) + `","rows":[{"items":[0]}]}`
+
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/datasets", create},
+		{"/v1/models/example/classify/batch", batch},
+	} {
+		rec := postJSON(t, s, tc.path, tc.body)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d, want 413: %.200s", tc.path, len(tc.body), rec.Code, rec.Body)
+		}
+		var resp errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Error.Code != "too_large" {
+			t.Fatalf("%s: error body %s, want code too_large", tc.path, rec.Body)
+		}
+	}
+}
+
 // TestModelEnvelopeGet: GET /v1/models/{name} returns the same
 // envelope Model.Save writes — loadable and serving identically.
 func TestModelEnvelopeGet(t *testing.T) {

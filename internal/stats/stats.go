@@ -7,6 +7,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -38,44 +39,53 @@ type LabeledValue struct {
 	Label int
 }
 
-// SortLabeledValues sorts in ascending Value order (stable on ties by
-// label so results are deterministic).
+// SortLabeledValues sorts in ascending (Value, Label) order. The sort
+// is not stable, and need not be: two elements that compare equal have
+// the same label and equal values, and the only equal values with
+// different bits, -0 and +0, never form a split boundary and give the
+// same midpoint whichever of them sorts first.
 func SortLabeledValues(vs []LabeledValue) {
-	sort.SliceStable(vs, func(i, j int) bool {
-		if vs[i].Value != vs[j].Value {
-			return vs[i].Value < vs[j].Value
+	slices.SortFunc(vs, func(a, b LabeledValue) int {
+		switch {
+		case a.Value < b.Value:
+			return -1
+		case a.Value > b.Value:
+			return 1
 		}
-		return vs[i].Label < vs[j].Label
+		return a.Label - b.Label
 	})
 }
 
 // BestBinarySplit finds the cut point of a sorted labeled sequence that
 // minimizes the weighted entropy of the induced two-block partition.
-// Candidate cuts are boundary midpoints between adjacent distinct values.
-// It returns the cut value, the information gain of the split, and ok =
-// false when no valid cut exists (all values identical or fewer than two
-// samples). vs must be sorted ascending by value.
+// Candidate boundaries lie between adjacent distinct values a < b; the
+// cut is their midpoint when it lies in (a, b], and b when the midpoint
+// rounds down to a or overflows. Either way the values below the cut
+// are exactly those up to a. It returns the cut value, the information
+// gain of the split, and ok = false when no valid cut exists (all values
+// identical or fewer than two samples). vs must be sorted ascending by
+// value.
 func BestBinarySplit(vs []LabeledValue, numClasses int) (cut float64, gain float64, ok bool) {
 	n := len(vs)
 	if n < 2 {
 		return 0, 0, false
 	}
-	totalCounts := make([]int, numClasses)
+	counts := make([]int, 3*numClasses)
+	totalCounts := counts[:numClasses]
+	leftCounts := counts[numClasses : 2*numClasses]
+	rightCounts := counts[2*numClasses:]
 	for _, v := range vs {
 		totalCounts[v.Label]++
 	}
 	baseH := Entropy(totalCounts)
 
-	leftCounts := make([]int, numClasses)
 	bestGain := math.Inf(-1)
-	bestCut := 0.0
-	found := false
+	best := -1
 	for i := 0; i < n-1; i++ {
 		leftCounts[vs[i].Label]++
 		if vs[i].Value == vs[i+1].Value {
 			continue // not a boundary between distinct values
 		}
-		rightCounts := make([]int, numClasses)
 		for c := range rightCounts {
 			rightCounts[c] = totalCounts[c] - leftCounts[c]
 		}
@@ -84,14 +94,18 @@ func BestBinarySplit(vs []LabeledValue, numClasses int) (cut float64, gain float
 		g := baseH - w
 		if g > bestGain {
 			bestGain = g
-			bestCut = (vs[i].Value + vs[i+1].Value) / 2
-			found = true
+			best = i
 		}
 	}
-	if !found {
+	if best < 0 {
 		return 0, 0, false
 	}
-	return bestCut, bestGain, true
+	a, b := vs[best].Value, vs[best+1].Value
+	cut = (a + b) / 2
+	if !(cut > a && cut <= b) {
+		cut = b
+	}
+	return cut, bestGain, true
 }
 
 // EntropyScore is the discriminant ability of a gene measured as the
