@@ -72,8 +72,9 @@ serve:
 	$(GO) run ./cmd/rcbtserved -model fixture=internal/serve/testdata/model.json -addr :8344
 
 # Short fuzzing sessions over the dataset parsers, the bit-set algebra,
-# the discretizer, the model envelope decoder and FindLB against its
-# reference search.
+# the discretizer, the model envelope decoder, FindLB against its
+# reference search, the request reader against encoding/json and the
+# job body.
 fuzz:
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzReadDataset -fuzztime 30s ./internal/dataset/
@@ -82,6 +83,8 @@ fuzz:
 	$(GO) test -fuzz FuzzDiscretize -fuzztime 30s ./internal/discretize/
 	$(GO) test -fuzz FuzzLoadModel -fuzztime 30s ./internal/rcbt/
 	$(GO) test -fuzz FuzzFind -fuzztime 30s ./internal/lowerbound/
+	$(GO) test -fuzz FuzzRequestDecode -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz FuzzJobRequest -fuzztime 30s ./internal/serve/
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -86,8 +86,9 @@ func TestBatchMatchesPredictValues(t *testing.T) {
 }
 
 // TestBatchTooLargeStreaming: the 413 must fire even when the
-// oversized rows arrive before the model name, and the handler must
-// not have buffered past the limit.
+// oversized rows arrive before the model name, and before any row past
+// the limit is decoded. The body itself is read whole under the byte
+// cap.
 func TestBatchTooLargeStreaming(t *testing.T) {
 	s := newTestServer(t, Config{
 		Models:   map[string]*rcbt.Model{"example": exampleModel(t)},

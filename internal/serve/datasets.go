@@ -33,7 +33,12 @@ type RowLabel struct {
 }
 
 // UnmarshalJSON accepts a JSON string (class name) or number (index).
+// null is no label, as an absent label is.
 func (l *RowLabel) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*l = RowLabel{}
+		return nil
+	}
 	var s string
 	if err := json.Unmarshal(b, &s); err == nil {
 		*l = RowLabel{name: s, set: true}

@@ -403,3 +403,19 @@ func TestClassifyAcrossSwap(t *testing.T) {
 	default:
 	}
 }
+
+// TestNullLabelIsNoLabel: "label": null is a row without a label, 422
+// "row has no label" as for an absent label, not the class named "".
+// With classes ["","b"] the null row used to land in class "".
+func TestNullLabelIsNoLabel(t *testing.T) {
+	s, _ := newStreamServer(t, -1, 0)
+	for i, classes := range []string{`["a","b"]`, `["","b"]`} {
+		body := fmt.Sprintf(`{"name":"n%d","classes":%s,"genes":["g"],"rows":[`+
+			`{"values":[1],"label":"b"},{"values":[2],"label":null},`+
+			`{"values":[3],"label":"b"},{"values":[4],"label":1}]}`, i, classes)
+		rec := postJSON(t, s, "/v1/datasets", body)
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "row 1: row has no label") {
+			t.Fatalf("classes %s: status %d %s, want 422 row 1: row has no label", classes, rec.Code, rec.Body)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -199,70 +200,92 @@ func (s *Server) handleBatchModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Model: req.Model, Results: results})
 }
 
-// decodeBatchRequest streams the batch body token by token, so a batch
-// larger than maxB is rejected with 413 as soon as row maxB+1 appears —
-// before any per-row classification work and without buffering the
-// excess rows into memory.
+// decodeBatchRequest reads a batch body of at most maxB rows. The body
+// is read whole under maxBodyBytes first. A batch past maxB then gets
+// 413 before any row is classified: the request reader declines at
+// row maxB+1, and the token decoder stops there without decoding the
+// excess rows.
 func decodeBatchRequest(w http.ResponseWriter, r *http.Request, maxB int) (*BatchRequest, bool) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	bad := func(err error) (*BatchRequest, bool) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return nil, false
+	}
+	if req, ok := readBatchRequest(body, maxB); ok {
+		return req, true
+	}
+	req, err := decodeBatchTokens(body, maxB)
+	if err != nil {
 		writeDecodeError(w, err)
 		return nil, false
 	}
+	return req, true
+}
+
+// batchTooLarge is the error of a batch with more rows than its limit.
+type batchTooLarge int
+
+func (n batchTooLarge) Error() string {
+	return fmt.Sprintf("batch exceeds the %d-row limit", int(n))
+}
+
+// decodeBatchTokens decodes a batch body token by token with
+// encoding/json, the path for every body the request reader declines.
+// Rows are appended one by one, and row maxB+1 stops it with
+// batchTooLarge.
+func decodeBatchTokens(body []byte, maxB int) (*BatchRequest, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
 	tok, err := dec.Token()
 	if err != nil {
-		return bad(err)
+		return nil, err
 	}
 	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return bad(errors.New("request body must be a JSON object"))
+		return nil, errors.New("request body must be a JSON object")
 	}
 	req := &BatchRequest{}
 	for dec.More() {
 		keyTok, err := dec.Token()
 		if err != nil {
-			return bad(err)
+			return nil, err
 		}
 		key, _ := keyTok.(string)
 		switch key {
 		case "model":
 			if err := dec.Decode(&req.Model); err != nil {
-				return bad(err)
+				return nil, err
 			}
 		case "rows":
 			tok, err := dec.Token()
 			if err != nil {
-				return bad(err)
+				return nil, err
 			}
 			if tok == nil { // "rows": null, same as absent
 				continue
 			}
 			if d, ok := tok.(json.Delim); !ok || d != '[' {
-				return bad(errors.New("rows must be an array"))
+				return nil, errors.New("rows must be an array")
 			}
 			for dec.More() {
 				if len(req.Rows) >= maxB {
-					writeError(w, http.StatusRequestEntityTooLarge,
-						fmt.Sprintf("batch exceeds the %d-row limit", maxB))
-					return nil, false
+					return nil, batchTooLarge(maxB)
 				}
 				var row BatchRow
 				if err := dec.Decode(&row); err != nil {
-					return bad(err)
+					return nil, err
 				}
 				req.Rows = append(req.Rows, row)
 			}
 			if _, err := dec.Token(); err != nil { // closing ']'
-				return bad(err)
+				return nil, err
 			}
 		default:
-			return bad(fmt.Errorf("unknown field %q", key))
+			return nil, fmt.Errorf("unknown field %q", key)
 		}
 	}
 	if _, err := dec.Token(); err != nil { // closing '}'
-		return bad(err)
+		return nil, err
 	}
-	return req, true
+	return req, nil
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -412,26 +435,63 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// readBody reads the whole request body, up to maxBodyBytes. The
+// buffer doubles as bytes arrive (io.ReadAll grows by a quarter, which
+// allocates about five times an 8 MB body), and is never sized from
+// Content-Length: a handler runs once the headers are in, so sizing
+// from them would let a client reserve the cap per connection without
+// sending it.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		writeDecodeError(w, err)
+		return nil, false
+	}
+	return body.Bytes(), true
+}
+
+// decodeJSON reads a request body into dst: with the request reader
+// (reader.go) when it accepts the body, and otherwise with
+// encoding/json, which then decides the status and message.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	body, ok := readBody(w, r)
+	if !ok {
+		return false
+	}
+	if readRequest(body, dst) {
+		return true
+	}
+	if err := decodeStrict(body, dst); err != nil {
 		writeDecodeError(w, err)
 		return false
 	}
 	return true
 }
 
-// writeDecodeError answers a request body the JSON decoder gave up on:
-// 413 when it ran past maxBodyBytes, 400 otherwise.
+// decodeStrict decodes the first JSON value of body into dst with
+// encoding/json: unknown fields are errors, and bytes after the value
+// are ignored.
+func decodeStrict(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	return dec.Decode(dst)
+}
+
+// writeDecodeError answers a request body that could not be decoded:
+// 413 when it ran past maxBodyBytes or a batch past its row limit, 400
+// otherwise.
 func writeDecodeError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	var tooMany batchTooLarge
+	switch {
+	case errors.As(err, &tooLarge):
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
-		return
+	case errors.As(err, &tooMany):
+		writeError(w, http.StatusRequestEntityTooLarge, tooMany.Error())
+	default:
+		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 	}
-	writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 }
 
 func writeClassifyError(w http.ResponseWriter, err error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -612,5 +613,63 @@ func TestClassifierOnlyEnvelopeServes(t *testing.T) {
 	rec = postJSON(t, s, "/v1/models/bare/classify", fmt.Sprintf(`{"items": [%d]}`, loaded.NumItems))
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("item id at the universe: status %d, want 422: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestBodyOverCapTooLargeEveryRoute sends bodies past the maxBodyBytes
+// cap to the other routes that read a body: the single classify, the
+// dataset append and the job submit. Each must answer 413 too_large.
+func TestBodyOverCapTooLargeEveryRoute(t *testing.T) {
+	s, _ := newStreamServer(t, -1, 0)
+	if err := s.RegisterModel("example", exampleModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	filler := bytes.Repeat([]byte("m"), maxBodyBytes)
+	for _, tc := range []struct{ path, prefix, suffix string }{
+		{"/v1/models/example/classify", `{"model":"`, `"}`},
+		{"/v1/datasets/d/rows", `{"rows":[{"values":[1],"label":"`, `"}]}`},
+		{"/v1/jobs", `{"kind":"`, `"}`},
+	} {
+		body := io.MultiReader(strings.NewReader(tc.prefix), bytes.NewReader(filler), strings.NewReader(tc.suffix))
+		req := httptest.NewRequest(http.MethodPost, tc.path, body)
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %.200s", tc.path, rec.Code, rec.Body)
+		}
+		var resp errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Error.Code != "too_large" {
+			t.Fatalf("%s: error body %s, want code too_large", tc.path, rec.Body)
+		}
+	}
+}
+
+// TestBodyNotSizedFromContentLength: a request that declares a body of
+// maxBodyBytes-1 bytes but carries 20 must not make the handler
+// reserve the declared size. A handler runs as soon as the headers
+// arrive, so sizing from them would let a client hold the cap per
+// connection without sending it.
+func TestBodyNotSizedFromContentLength(t *testing.T) {
+	s := newTestServer(t, Config{Models: map[string]*rcbt.Model{"example": exampleModel(t)}})
+	const body = `{"items": [0,1,2,3]}`
+	if len(body) != 20 {
+		t.Fatalf("body is %d bytes, want 20", len(body))
+	}
+	send := func() *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/models/example/classify", strings.NewReader(body))
+		req.ContentLength = maxBodyBytes - 1
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec
+	}
+	send() // first use builds what the server builds lazily
+	var rec *httptest.ResponseRecorder
+	alloc := allocBytes(func() { rec = send() })
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("handler allocated %d bytes for a 20-byte body declared as %d", alloc, maxBodyBytes-1)
 	}
 }

@@ -21,6 +21,14 @@
 // Job submissions reference datastore datasets as "{name}" (latest
 // snapshot) or "{name}@{v}" (pinned version; 409 once pruned).
 //
+// Every handler that takes a body reads it whole, up to a 32 MiB cap
+// (413 past it). The dataset create and append bodies and both
+// classify bodies then go through a one-pass request reader
+// (reader.go), which accepts only what it decodes exactly as
+// encoding/json would; a body it declines is decoded by encoding/json,
+// which decides its status and message. The job body always goes
+// through encoding/json.
+//
 // Both classify routes label each row the same way, with
 // rcbt.Model.PredictValues or PredictItems (discretize, then walk the
 // main and standby rule lists). Nothing is cached per model, so a
