@@ -73,8 +73,8 @@ serve:
 
 # Short fuzzing sessions over the dataset parsers, the bit-set algebra,
 # the discretizer, the model envelope decoder, FindLB against its
-# reference search, the request reader against encoding/json and the
-# job body.
+# reference search, the request reader against encoding/json, the job
+# body and the dataset snapshot decoder.
 fuzz:
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzReadDataset -fuzztime 30s ./internal/dataset/
@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFind -fuzztime 30s ./internal/lowerbound/
 	$(GO) test -fuzz FuzzRequestDecode -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzJobRequest -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz FuzzLoadSnapshot -fuzztime 30s ./internal/datastore/
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -18,6 +18,7 @@ package datastore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -147,6 +148,9 @@ func (s *Store) Create(name string, classes, genes []string, values [][]float64,
 	if err := m.Validate(); err != nil {
 		return nil, bad("%v", err)
 	}
+	if err := checkFinite(m.Values); err != nil {
+		return nil, bad("%v", err)
+	}
 
 	s.mu.Lock()
 	if _, ok := s.sets[name]; ok {
@@ -186,6 +190,9 @@ func (s *Store) dropSet(name string) {
 func (s *Store) Append(name string, values [][]float64, labels []dataset.Label) (*Snapshot, error) {
 	if len(values) == 0 {
 		return nil, bad("append needs at least one row")
+	}
+	if err := checkFinite(values); err != nil {
+		return nil, bad("%v", err)
 	}
 	st, err := s.lookup(name)
 	if err != nil {
@@ -339,6 +346,21 @@ func (s *Store) Versions(name string) ([]int, error) {
 	st.mu.Unlock()
 	sort.Ints(vs)
 	return vs, nil
+}
+
+// checkFinite rejects ±Inf, which Matrix.Validate lets through for the
+// file loaders. An infinite value lies in none of its gene's items
+// (each is [lo, hi), with ±Inf as the open ends), so the row would
+// silently lose that gene.
+func checkFinite(values [][]float64) error {
+	for r, row := range values {
+		for g, v := range row {
+			if math.IsInf(v, 0) {
+				return fmt.Errorf("row %d gene %d is %v", r, g, v)
+			}
+		}
+	}
+	return nil
 }
 
 // copyValues deep-copies the row values, normalizing each row to a

@@ -18,7 +18,7 @@ import (
 // sepMatrix builds a small matrix with one perfectly separated gene
 // (values < 5 ↔ class a, > 5 ↔ class b — MDL accepts the cut at the
 // class boundary midpoint) and one noise gene MDL drops.
-func sepMatrix(t *testing.T) *dataset.Matrix {
+func sepMatrix(t testing.TB) *dataset.Matrix {
 	t.Helper()
 	return &dataset.Matrix{
 		GeneNames:  []string{"g0", "g1"},
@@ -31,7 +31,7 @@ func sepMatrix(t *testing.T) *dataset.Matrix {
 	}
 }
 
-func openStore(t *testing.T, dir string, keep int) *Store {
+func openStore(t testing.TB, dir string, keep int) *Store {
 	t.Helper()
 	s, err := Open(Config{Dir: dir, KeepVersions: keep})
 	if err != nil {

@@ -47,7 +47,7 @@ func buildFull(name string, version int, m *dataset.Matrix) (*Snapshot, error) {
 	return &Snapshot{
 		Name:        name,
 		Version:     version,
-		CreatedAt:   time.Now().UTC(),
+		CreatedAt:   time.Now().UTC().Round(0), // no monotonic reading: the file cannot hold one
 		Matrix:      m,
 		Discretizer: dz,
 		Dataset:     ds,

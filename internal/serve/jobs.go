@@ -23,8 +23,11 @@ type JobRequest struct {
 type InlineDataset struct {
 	// Classes are the class names; row labels index into them.
 	Classes []string `json:"classes"`
-	// Items optionally names the item universe; NumItems sizes it
-	// anonymously. Omitting both sizes the universe from the rows. The
+	// Items optionally names the item universe. Without it the universe
+	// is 1 + the largest item id the rows use; NumItems may restate that
+	// size, but not exceed it (a 422), since an anonymous universe
+	// larger than the rows need would cost the server memory that no
+	// body byte pays for. To pad the universe, name its items. The
 	// universe may hold at most dataset.MaxItems items.
 	Items    []string    `json:"items,omitempty"`
 	NumItems int         `json:"numItems,omitempty"`
@@ -43,24 +46,26 @@ func (in *InlineDataset) toDataset() (*dataset.Dataset, error) {
 	if in == nil || len(in.Rows) == 0 {
 		return nil, errors.New("inline dataset has no rows")
 	}
-	numItems := in.NumItems
-	if len(in.Items) > 0 {
+	used := 0 // 1 + the largest item id the rows reference
+	for _, r := range in.Rows {
+		for _, it := range r.Items {
+			if it >= dataset.MaxItems {
+				return nil, fmt.Errorf("item id %d beyond the %d-item cap", it, dataset.MaxItems)
+			}
+			used = max(used, it+1)
+		}
+	}
+	numItems := used
+	switch {
+	case len(in.Items) > 0:
 		numItems = len(in.Items)
+	case in.NumItems > used:
+		return nil, fmt.Errorf("numItems %d exceeds the %d items the rows use; name the items to pad the universe", in.NumItems, used)
+	case in.NumItems != 0:
+		numItems = in.NumItems
 	}
 	if numItems > dataset.MaxItems {
 		return nil, fmt.Errorf("%d items exceed the %d-item cap", numItems, dataset.MaxItems)
-	}
-	if numItems == 0 {
-		for _, r := range in.Rows {
-			for _, it := range r.Items {
-				if it >= dataset.MaxItems {
-					return nil, fmt.Errorf("item id %d beyond the %d-item cap", it, dataset.MaxItems)
-				}
-				if it >= numItems {
-					numItems = it + 1
-				}
-			}
-		}
 	}
 	d := &dataset.Dataset{ClassNames: in.Classes}
 	for i := 0; i < numItems; i++ {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -248,6 +249,57 @@ func TestJobHTTPErrors(t *testing.T) {
 	}
 	if rec := deleteJSON(t, s, "/v1/jobs/job-missing"); rec.Code != http.StatusNotFound {
 		t.Errorf("cancel unknown: %d", rec.Code)
+	}
+}
+
+// paddedUniverseBody is 121 bytes that declare an anonymous universe of
+// 2^20 items for two rows that use items 0 and 1. Taken on trust, it
+// made toDataset build 2^20 named items, about 232 MB.
+const paddedUniverseBody = `{"kind":"train","data":{"classes":["a","b"],"numItems":1048576,"rows":[{"items":[0],"label":0},{"items":[1],"label":1}]}}`
+
+// TestJobNumItemsBoundedByRows checks that an anonymous numItems may
+// restate the universe the rows use but not pad it, that the refusal
+// allocates next to nothing, and that named items still pad.
+func TestJobNumItemsBoundedByRows(t *testing.T) {
+	s, _ := newJobServer(t, t.TempDir())
+	if rec := postJSON(t, s, "/v1/jobs", paddedUniverseBody); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("padded anonymous universe: status %d, want 422 (%s)", rec.Code, rec.Body)
+	}
+	var req JobRequest
+	if err := decodeStrict([]byte(paddedUniverseBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := req.Data.toDataset()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("toDataset accepts a padded anonymous universe")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("refusing a %d-byte body allocated %d bytes", len(paddedUniverseBody), alloc)
+	}
+
+	rows := []InlineRow{{Items: []int{0}, Label: 0}, {Items: []int{1, 0}, Label: 1}}
+	for _, tc := range []struct {
+		in    InlineDataset
+		items int
+	}{
+		{InlineDataset{Rows: rows}, 2},
+		{InlineDataset{NumItems: 2, Rows: rows}, 2},
+		{InlineDataset{Items: []string{"x", "y", "z"}, Rows: rows}, 3},
+	} {
+		tc.in.Classes = []string{"a", "b"}
+		d, err := tc.in.toDataset()
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.in, err)
+		}
+		if d.NumItems() != tc.items {
+			t.Fatalf("%+v: %d items, want %d", tc.in, d.NumItems(), tc.items)
+		}
+	}
+	if _, err := (&InlineDataset{Classes: []string{"a", "b"}, NumItems: 3, Rows: rows}).toDataset(); err == nil {
+		t.Fatal("numItems one past the rows' universe accepted")
 	}
 }
 

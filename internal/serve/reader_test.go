@@ -171,12 +171,14 @@ func TestReaderDeclines(t *testing.T) {
 
 // FuzzJobRequest decodes a job body and converts its inline dataset.
 // Neither step may panic, and every dataset toDataset accepts must be
-// valid and within the item cap.
+// valid, within the item cap and, unless its items are named, no wider
+// than the items its rows use.
 func FuzzJobRequest(f *testing.F) {
 	for _, b := range []string{
 		`{"kind":"train","data":{"classes":["a","b"],"rows":[{"items":[0,2],"label":0},{"items":[1],"label":1}]}}`,
 		`{"kind":"mine","data":{"classes":["a","b"],"items":["x","y"],"rows":[{"items":[1,1,0],"label":1}]}}`,
 		`{"kind":"train","data":{"classes":["a","b"],"numItems":3,"rows":[{"items":[5],"label":0}]}}`,
+		paddedUniverseBody,
 		`{"kind":"train","data":{"classes":["a","b"],"numItems":-4,"rows":[{"items":[],"label":0}]}}`,
 		`{"kind":"train","data":{"classes":["a","b"],"rows":[{"items":[1099511627776],"label":0}]}}`,
 		`{"kind":"train","data":{"classes":["a"],"rows":[{"items":[-1],"label":-1}]}}`,
@@ -199,6 +201,15 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if d.NumItems() > dataset.MaxItems {
 			t.Fatalf("body %q: accepted dataset has %d items, cap %d", body, d.NumItems(), dataset.MaxItems)
+		}
+		used := 0
+		for _, row := range d.Rows {
+			if len(row) > 0 {
+				used = max(used, row[len(row)-1]+1)
+			}
+		}
+		if len(req.Data.Items) == 0 && d.NumItems() > used {
+			t.Fatalf("body %q: accepted %d anonymous items for rows that use %d", body, d.NumItems(), used)
 		}
 	})
 }
