@@ -11,12 +11,15 @@
 //	BenchmarkFig8GeneRanks — Figure 8
 //	BenchmarkDefaultClassStats / BenchmarkMinsupSweep — §6.2 analyses
 //	BenchmarkAblation* — design-choice ablations from DESIGN.md
+//	BenchmarkMineTall / BenchmarkMineWide — the mining kernel at RCBT's
+//	defaults on a tall (408 × 185 items) and a wide (210 × 3,309) shape
 package repro
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/bench"
@@ -53,6 +56,9 @@ func prepDataset(b *testing.B, p synth.Profile) *dataset.Dataset {
 	d, err := dz.Transform(train)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if d.NumItems() > 0 {
+		d.ItemRows(0) // build the lazy item index before any timed op
 	}
 	prepCache[p.Name] = d
 	return d
@@ -111,6 +117,43 @@ func BenchmarkFig6MineTopkRGS(b *testing.B) {
 			})
 		}
 	}
+}
+
+// rcbtMinsup is RCBT's default per-class minimum support: 70% of the
+// class, rounded up.
+func rcbtMinsup(d *dataset.Dataset, cls dataset.Label) int {
+	return max(int(math.Ceil(0.7*float64(d.ClassCount(cls)))), 1)
+}
+
+// mineAtRCBTDefaults times sequential MineTopkRGS of one class at
+// RCBT's defaults (k 10, minsup 70% of the class).
+func mineAtRCBTDefaults(b *testing.B, d *dataset.Dataset, cls dataset.Label) {
+	cfg := core.DefaultConfig(rcbtMinsup(d, cls), 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Mine(d, cls, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMineTall mines both classes of PC/30 with a 4× cohort (408
+// rows × 185 items), the shape where mining is most of a train job.
+func BenchmarkMineTall(b *testing.B) {
+	p := synth.Scaled(synth.PC(), 30)
+	p.Name += "x4"
+	p.Train1 *= 4
+	p.Train0 *= 4
+	d := prepDataset(b, p)
+	for cls := dataset.Label(0); int(cls) < d.NumClasses(); cls++ {
+		b.Run(fmt.Sprintf("class=%d", cls), func(b *testing.B) { mineAtRCBTDefaults(b, d, cls) })
+	}
+}
+
+// BenchmarkMineWide mines class 1 of OC/5 (210 rows × 3,309 items), a
+// width where a node's cost is set by the item universe.
+func BenchmarkMineWide(b *testing.B) {
+	mineAtRCBTDefaults(b, prepDataset(b, synth.Scaled(synth.OC(), 5)), 1)
 }
 
 // BenchmarkFig6Baselines measures the baseline miners at the same

@@ -49,6 +49,14 @@ func (k *keeper) UpdateThresholds(minsups []int) {
 	k.ch <- copied // ok: copied
 }
 
+// PruneOnEntry is the entry hook: the pending row set x and the
+// candidate slice alias the arena too.
+func (k *keeper) PruneOnEntry(x *bitset.Set, candPos []int) bool {
+	k.last = x                                // want `stores arena-aliased x into k.last`
+	k.ch <- candPos                           // want `sends arena-aliased candPos on a channel`
+	return scan(candPos) > 0 && x.Contains(0) // ok: scanning is not retaining
+}
+
 // scan only reads; calling it with tainted arguments is fine.
 func scan(xs []int) int {
 	total := 0

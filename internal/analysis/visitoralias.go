@@ -16,8 +16,8 @@ import (
 // channel, or handing it to a goroutine — without an intervening
 // Clone()/copy corrupts groups mined later, silently.
 //
-// The pass taints the arena-backed parameters of OnGroup and
-// UpdateThresholds implementations and follows the taint through local
+// The pass taints the arena-backed parameters of OnGroup, PruneOnEntry
+// and UpdateThresholds implementations and follows the taint through local
 // assignments, same-package calls (including closures bound to local
 // variables), and append chains. Copies launder taint: Clone(),
 // copy(dst, src), and append of a spread []int (contents are copied by
@@ -34,6 +34,7 @@ var VisitorAliasAnalyzer = &Analyzer{
 // parameters alias the enumeration arena.
 var visitorHookNames = map[string]bool{
 	"OnGroup":          true,
+	"PruneOnEntry":     true,
 	"UpdateThresholds": true,
 }
 

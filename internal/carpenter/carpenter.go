@@ -49,6 +49,10 @@ type visitor struct {
 	out     []ClosedItemset
 }
 
+func (v *visitor) PruneOnEntry(_ *bitset.Set, candPos []int, xp, xn, rn int) bool {
+	return xp+len(candPos) < v.minsup
+}
+
 func (v *visitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 	return engine.Threshold{}
 }

@@ -373,8 +373,52 @@ func (v *topkVisitor) resolveSeeds(itemRows []*bitset.Set, freqItems []int) {
 	}
 }
 
-// UpdateThresholds is Step 8: the weakest (conf, sup) threshold across
-// the rows reachable from the current node.
+// PruneOnEntry is Steps 8-9 at node entry. It prunes iff the loose
+// bound (ubConf, ubSup) fails effMinsup or the MinConf floor, or no
+// positive row of x or candPos admits it; it stops at the first row
+// that does. That is the answer PruneBeforeScan gives against
+// UpdateThresholds(X_p, candPos): the threshold there is the lexical
+// maximum of the floor (MinConf, 0) and the weakest row's threshold,
+// and the bound beats a maximum iff it beats both. It counts as one
+// UpdateThresholds call, so effMinsup rises at the same nodes. With no
+// positive row at all, ubSup is 0 and the support check has pruned.
+//
+//vet:allocfree
+func (v *topkVisitor) PruneOnEntry(x *bitset.Set, candPos []int, xp, xn, rn int) bool {
+	v.updateCalls++
+	if v.cfg.DynamicMinsup && v.updateCalls%64 == 0 {
+		v.maybeRaiseMinsup()
+	}
+	ubSup := xp + len(candPos)
+	if ubSup < v.effMinsup {
+		return true
+	}
+	if !v.cfg.TopKPruning {
+		return false
+	}
+	ubConf := float64(ubSup) / float64(ubSup+xn)
+	if v.cfg.MinConf > 0 && !qualifies(engine.Threshold{Conf: v.cfg.MinConf}, ubConf, ubSup) {
+		return true
+	}
+	for _, p := range candPos {
+		if v.lists[p].Qualifies(ubConf, ubSup) {
+			return false
+		}
+	}
+	admitted := false
+	x.ForEach(func(p int) bool {
+		if p >= v.numPos {
+			return false
+		}
+		admitted = v.lists[p].Qualifies(ubConf, ubSup)
+		return !admitted
+	})
+	return !admitted
+}
+
+// UpdateThresholds is the Step 8 threshold, built once per node at
+// Step 11: the weakest (conf, sup) threshold across the rows reachable
+// from the current node.
 func (v *topkVisitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 	v.updateCalls++
 	if v.cfg.DynamicMinsup && v.updateCalls%64 == 0 {
@@ -456,7 +500,8 @@ func qualifies(th engine.Threshold, ubConf float64, ubSup int) bool {
 	return ubSup > th.Sup
 }
 
-// PruneBeforeScan is Step 9 (loose bounds).
+// PruneBeforeScan is Step 9 (loose bounds), as the parent checks a
+// child.
 func (v *topkVisitor) PruneBeforeScan(th engine.Threshold, xp, xn, rp, rn int) bool {
 	ubSup := xp + rp
 	if ubSup < v.effMinsup {

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/rules"
 )
@@ -480,5 +481,91 @@ func TestMineContextDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v, want prompt return", elapsed)
+	}
+}
+
+// entryVisitor returns a visitor over numPos rows whose lists hold
+// random groups, so row thresholds differ, tie, and sit at the MinConf
+// floor.
+func entryVisitor(r *rand.Rand, numPos int, cfg Config) *topkVisitor {
+	v := &topkVisitor{cfg: cfg, numPos: numPos, effMinsup: cfg.Minsup, lists: make([]*rules.TopKList, numPos)}
+	for p := range v.lists {
+		v.lists[p] = rules.NewTopKList(cfg.K)
+		for n := r.Intn(cfg.K + 2); n > 0; n-- {
+			sup := 1 + r.Intn(6)
+			v.lists[p].Consider(&rules.Group{Support: sup, Confidence: float64(sup) / float64(sup+r.Intn(3))})
+		}
+	}
+	return v
+}
+
+// TestPruneOnEntryOracle checks the entry hook against
+// what it replaces, the Step 8 threshold over X_p ∪ candPos fed to
+// PruneBeforeScan, on random list states, row sets and bounds, with and
+// without a MinConf floor.
+func TestPruneOnEntryOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	const numPos, numRows = 12, 16
+	for iter := 0; iter < 10000; iter++ {
+		cfg := DefaultConfig(1+r.Intn(3), 1+r.Intn(3))
+		cfg.MinConf = []float64{0, 0.5, 0.75, 0.8}[r.Intn(4)]
+		cfg.TopKPruning = r.Intn(8) != 0
+		seed := r.Int63()
+		hook := entryVisitor(rand.New(rand.NewSource(seed)), numPos, cfg)
+		scan := entryVisitor(rand.New(rand.NewSource(seed)), numPos, cfg)
+
+		x := bitset.New(numRows)
+		var cand []int
+		for row := 0; row < numRows; row++ {
+			switch r.Intn(3) {
+			case 0:
+				x.Add(row)
+			case 1:
+				cand = append(cand, row)
+			}
+		}
+		candPos, candNeg := cand, cand[len(cand):]
+		for i, row := range cand {
+			if row >= numPos {
+				candPos, candNeg = cand[:i], cand[i:]
+				break
+			}
+		}
+		xPos := x.AppendIndicesBelow(nil, numPos)
+		xp := len(xPos)
+		xn := x.Count() - xp
+
+		got := hook.PruneOnEntry(x, candPos, xp, xn, len(candNeg))
+		want := scan.PruneBeforeScan(scan.UpdateThresholds(xPos, candPos), xp, xn, len(candPos), len(candNeg))
+		if got != want {
+			t.Fatalf("iter %d (cfg %+v, x %v, cand %v): PruneOnEntry = %v, threshold scan = %v", iter, cfg, x, cand, got, want)
+		}
+	}
+}
+
+// TestPruneOnEntryAllocFree pins the topk entry hook at zero
+// allocations, both when the scan runs through every candidate and
+// every positive row of X, and when a row of X admits the bound.
+func TestPruneOnEntryAllocFree(t *testing.T) {
+	v := &topkVisitor{cfg: DefaultConfig(1, 1), numPos: 8, effMinsup: 1, lists: make([]*rules.TopKList, 8)}
+	for p := range v.lists {
+		v.lists[p] = rules.NewTopKList(1)
+		if p != 5 { // row 5's empty list admits every bound
+			v.lists[p].Consider(&rules.Group{Support: 9, Confidence: 1})
+		}
+	}
+	candPos := []int{6, 7}
+	none := bitset.FromIndices(12, 0, 2, 9)
+	admits := bitset.FromIndices(12, 0, 2, 5, 9)
+	var prunedNone, prunedAdmits bool
+	allocs := testing.AllocsPerRun(100, func() {
+		prunedNone = v.PruneOnEntry(none, candPos, 2, 1, 2)
+		prunedAdmits = v.PruneOnEntry(admits, candPos, 3, 1, 2)
+	})
+	if !prunedNone || prunedAdmits {
+		t.Fatalf("pruned = %v, %v; want true (no row admits), false (row 5 admits)", prunedNone, prunedAdmits)
+	}
+	if allocs != 0 {
+		t.Errorf("PruneOnEntry: %.1f allocs, want exactly 0", allocs)
 	}
 }

@@ -16,6 +16,9 @@ type minsupVisitor struct {
 	groups int
 }
 
+func (v *minsupVisitor) PruneOnEntry(x *bitset.Set, candPos []int, xp, xn, rn int) bool {
+	return xp+len(candPos) < v.minsup
+}
 func (v *minsupVisitor) UpdateThresholds(xPos, candPos []int) Threshold { return Threshold{} }
 func (v *minsupVisitor) PruneBeforeScan(_ Threshold, xp, xn, rp, rn int) bool {
 	return xp+rp < v.minsup

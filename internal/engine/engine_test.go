@@ -23,9 +23,10 @@ type collected struct {
 	xn    int
 }
 
-func (c *collector) UpdateThresholds(xPos, candPos []int) Threshold       { return Threshold{} }
-func (c *collector) PruneBeforeScan(_ Threshold, xp, xn, rp, rn int) bool { return false }
-func (c *collector) PruneAfterScan(_ Threshold, xp, xn, mp, rn int) bool  { return false }
+func (c *collector) PruneOnEntry(x *bitset.Set, candPos []int, xp, xn, rn int) bool { return false }
+func (c *collector) UpdateThresholds(xPos, candPos []int) Threshold                 { return Threshold{} }
+func (c *collector) PruneBeforeScan(_ Threshold, xp, xn, rp, rn int) bool           { return false }
+func (c *collector) PruneAfterScan(_ Threshold, xp, xn, mp, rn int) bool            { return false }
 func (c *collector) OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos []int) {
 	c.groups = append(c.groups, collected{
 		items: append([]int(nil), items...),
@@ -183,7 +184,8 @@ func TestEmptyRun(t *testing.T) {
 // pruneAll prunes everything at the loose stage.
 type pruneAll struct{ collector }
 
-func (p *pruneAll) PruneBeforeScan(_ Threshold, xp, xn, rp, rn int) bool { return true }
+func (p *pruneAll) PruneOnEntry(x *bitset.Set, candPos []int, xp, xn, rn int) bool { return true }
+func (p *pruneAll) PruneBeforeScan(_ Threshold, xp, xn, rp, rn int) bool           { return true }
 
 func TestPruneBeforeScanStopsDescent(t *testing.T) {
 	p := &pruneAll{}
@@ -236,8 +238,8 @@ func TestCancelledContextStopsRun(t *testing.T) {
 }
 
 // cancelAtVisitor cancels the run's context on its after-th
-// UpdateThresholds call, so the cancel lands in the middle of the
-// search rather than before it.
+// PruneOnEntry call, so the cancel lands in the middle of the search
+// rather than before it.
 type cancelAtVisitor struct {
 	collector
 	cancel context.CancelFunc
@@ -245,12 +247,12 @@ type cancelAtVisitor struct {
 	calls  int
 }
 
-func (v *cancelAtVisitor) UpdateThresholds(xPos, candPos []int) Threshold {
+func (v *cancelAtVisitor) PruneOnEntry(x *bitset.Set, candPos []int, xp, xn, rn int) bool {
 	v.calls++
 	if v.calls == v.after {
 		v.cancel()
 	}
-	return Threshold{}
+	return false
 }
 
 // TestCancelMidRunAbortsPromptly cancels a run part-way through: the
@@ -273,8 +275,8 @@ func TestCancelMidRunAbortsPromptly(t *testing.T) {
 	if stats.Aborted {
 		t.Fatal("cancellation must not masquerade as a budget abort")
 	}
-	// UpdateThresholds runs at least once per node, so the cancel lands
-	// by node 40; the next node entry is counted, then stops the search.
+	// PruneOnEntry runs once per node, so the cancel lands at node 40;
+	// the next node entry is counted, then stops the search.
 	if stats.Nodes > 41 {
 		t.Fatalf("cancel was not prompt: visited %d of %d nodes", stats.Nodes, full.Nodes)
 	}

@@ -9,27 +9,44 @@ import (
 
 // Visitor receives enumeration events and owns all threshold logic.
 // Hooks are called in the Step order of Algorithm MineTopkRGS (Figure
-// 3), with the structural backward check folded into the engine.
+// 3), with the structural backward check folded into the engine. A
+// node asks PruneOnEntry on entry and, if it survives the scan, builds
+// its one threshold with UpdateThresholds at Step 11; that threshold
+// feeds PruneAfterScan and the PruneBeforeScan check of each child.
 //
 // Aliasing contract: every slice and bitset a hook receives aliases the
 // engine's scratch arena and is valid only for the duration
-// of the call — the engine overwrites the same buffers at the next node
-// (and at the second UpdateThresholds call of the same node). A visitor
-// that retains anything must copy it at the event boundary: Clone() for
-// bitsets, append([]int(nil), s...) for index slices. Retention without
-// a copy is the one way to corrupt an otherwise deterministic search.
+// of the call — the engine overwrites the same buffers at the next
+// node. A visitor that retains anything must copy it at the event
+// boundary: Clone() for bitsets, append([]int(nil), s...) for index
+// slices. Retention without a copy is the one way to corrupt an
+// otherwise deterministic search.
 type Visitor interface {
-	// UpdateThresholds is Step 8: xPos are the positive rows already in
-	// X, candPos the positive candidate rows still enumerable below the
-	// node (a superset of the reachable R_p). Together they bound the
-	// rows that groups found in this subtree can cover (Lemma 3.2). The
-	// returned threshold is passed back into the pruning hooks for this
-	// node and its child-generation loop. Both slices are arena-backed
-	// (see the interface comment): scan them, do not keep them.
+	// PruneOnEntry is Steps 8-9 at node entry: it reports whether the
+	// loose bounds (support xp+len(candPos), confidence with the xn
+	// negatives already in X) fail the threshold over every row the
+	// subtree can cover. x is the node's pending row set (its positive
+	// rows are X_p); candPos the positive candidate rows still
+	// enumerable below the node (a superset of the reachable R_p,
+	// Lemma 3.2); rn the negative candidate count. The answer must
+	// equal building the Step 8 threshold over X_p ∪ candPos and
+	// passing it to PruneBeforeScan, but a visitor may stop at the
+	// first row that admits the bound. Both x and candPos are
+	// arena-backed (see the interface comment): scan them, do not keep
+	// them.
+	PruneOnEntry(x *bitset.Set, candPos []int, xp, xn, rn int) bool
+	// UpdateThresholds is Step 11's threshold: xPos are the positive
+	// rows of the node's closed row set, candPos the positive
+	// candidates that survived its projection. Together they bound the
+	// rows that groups found in this subtree can cover (Lemma 3.2).
+	// The returned threshold is passed to PruneAfterScan for this node
+	// and to PruneBeforeScan for each of its children. Both slices are
+	// arena-backed: scan them, do not keep them.
 	UpdateThresholds(xPos, candPos []int) Threshold
-	// PruneBeforeScan is Step 9: loose upper bounds computed without
-	// scanning the projected table. rp and rn are candidate counts
-	// inherited from the parent.
+	// PruneBeforeScan is Step 9 as the parent applies it to a child
+	// before descending: loose upper bounds computed without scanning
+	// the child's projected table, against the parent's threshold. rp
+	// and rn are the child's candidate counts.
 	PruneBeforeScan(th Threshold, xp, xn, rp, rn int) bool
 	// PruneAfterScan is Step 11: tight upper bounds. mp is the number of
 	// positive candidates that survive the node's projection, rn the
@@ -86,14 +103,20 @@ type Enumerator struct {
 
 // task is one enumeration node: the pending row set x (not yet closed),
 // the alive items, the candidate rows (all ids >= minNext, ascending),
-// and the depth.
+// the number of positive rows at the head of cand, and the depth.
 type task struct {
 	x       *bitset.Set
 	items   []int
 	cand    []int
+	numPos  int
 	minNext int
 	depth   int
 }
+
+// kernel is the node visit Run starts the enumeration with. The
+// package's tests swap in the reference kernel kept in
+// reference_test.go; nothing else assigns it.
+var kernel = (*Enumerator).visitNode
 
 // Run enumerates starting from the given alive item list (the frequent
 // items, ascending) and returns work statistics. The context is checked
@@ -125,9 +148,9 @@ func (e *Enumerator) Run(ctx context.Context, items []int) (Stats, error) {
 	e.ensureScratch()
 	rootX := e.scratch.level(0).xSet()
 	rootX.Clear()
-	root := task{x: rootX, items: items, cand: e.scratch.rootCand}
+	root := task{x: rootX, items: items, cand: e.scratch.rootCand, numPos: e.NumPos}
 
-	err := e.visitNode(root)
+	err := kernel(e, root)
 	if errors.Is(err, ErrNodeBudget) {
 		e.stats.Aborted = true
 		err = nil
@@ -152,10 +175,8 @@ func (e *Enumerator) ensureScratch() {
 }
 
 // buildRowItems transposes the item supports into per-row item sets:
-// rowItems[r] contains item i iff itemRows[i] contains r. The survivor
-// scan intersects these with the node's alive mask, replacing the
-// per-candidate O(|items|) Contains loop with a handful of fused word
-// operations.
+// rowItems[r] contains item i iff itemRows[i] contains r. A child's item
+// list is rowItems[r] intersected with the node's alive mask.
 func buildRowItems(numRows int, itemRows []*bitset.Set) []*bitset.Set {
 	rowItems := make([]*bitset.Set, numRows)
 	for r := range rowItems {
@@ -172,17 +193,6 @@ func buildRowItems(numRows int, itemRows []*bitset.Set) []*bitset.Set {
 		})
 	}
 	return rowItems
-}
-
-// posSplit splits an ascending candidate list at NumPos.
-//
-//vet:allocfree
-func (e *Enumerator) posSplit(cand []int) (pos, neg []int) {
-	i := 0
-	for i < len(cand) && cand[i] < e.NumPos {
-		i++
-	}
-	return cand[:i], cand[i:]
 }
 
 // visitNode processes one enumeration node and recurses into each
@@ -206,14 +216,16 @@ func (e *Enumerator) visitNode(t task) error {
 
 	xp := t.x.CountBelow(e.NumPos)
 	xn := t.x.Count() - xp
-	candPos, candNeg := e.posSplit(t.cand)
 
-	// Step 8: dynamic thresholds over the rows this subtree can cover.
-	posIdx := t.x.AppendIndicesBelow(lv.posIdx[:0], e.NumPos)
-	th := e.Visitor.UpdateThresholds(posIdx, candPos)
-
-	// Step 9: loose bounds using inherited candidate counts.
-	if e.Visitor.PruneBeforeScan(th, xp, xn, len(candPos), len(candNeg)) {
+	// Steps 8-9: loose bounds from the inherited candidate counts,
+	// against the threshold over every row this subtree can cover. No
+	// threshold is built here: the visitor answers the yes/no question
+	// and may stop at the first row that admits the bound. The parent
+	// checked this same bound against its own threshold, taken earlier
+	// over a superset of these rows, so the answer is nearly always
+	// "keep"; it changes only where lists or the minimum support rose
+	// since.
+	if e.Visitor.PruneOnEntry(t.x, t.cand[:t.numPos], xp, xn, len(t.cand)-t.numPos) {
 		e.stats.PrunedBeforeScan++
 		return nil
 	}
@@ -252,20 +264,23 @@ func (e *Enumerator) visitNode(t task) error {
 	xn = total - xp
 
 	// Step 10: forward closure — candidates inside R(I(X)) join X; the
-	// rest survive iff some alive item still contains them, checked as
-	// rowItems[r] ∩ alive ≠ ∅ against the node's alive-items mask.
+	// rest survive iff some alive item still contains them. The loop
+	// that fills the alive-items mask also folds the union of their
+	// rows; with the closure taken out of it, a candidate survives iff
+	// it is in the union.
 	alive := lv.aliveSet()
 	alive.Clear()
+	union := lv.unionSet()
+	union.Clear()
 	for _, it := range t.items {
 		alive.Add(it)
+		union.UnionWith(rows[it])
 	}
+	union.DifferenceWith(closed)
 	survivors := lv.survivors[:0]
 	mp := 0
 	for _, r := range t.cand {
-		if closed.Contains(r) {
-			continue
-		}
-		if !e.rowItems[r].Intersects(alive) {
+		if !union.Contains(r) {
 			continue
 		}
 		survivors = append(survivors, r)
@@ -274,15 +289,14 @@ func (e *Enumerator) visitNode(t task) error {
 		}
 	}
 
-	// Step 11: tight bounds using surviving candidate counts, with the
-	// thresholds recomputed over the now-exact reachable row set
-	// (X_p of the closed set plus the surviving positive candidates —
-	// Lemma 3.2's maximal coverage). Candidates are ascending, so the
-	// positive survivors are exactly the prefix survivors[:mp]. The
-	// post-scan threshold is at least as strong as the pre-scan one
-	// because the reachable set shrank.
-	posIdx = closed.AppendIndicesBelow(lv.posIdx[:0], e.NumPos)
-	th = e.Visitor.UpdateThresholds(posIdx, survivors[:mp])
+	// Step 11: tight bounds using surviving candidate counts, against
+	// the node's one threshold, built here over the exact reachable
+	// row set (X_p of the closed set plus the surviving positive
+	// candidates — Lemma 3.2's maximal coverage). Candidates are
+	// ascending, so the positive survivors are exactly the prefix
+	// survivors[:mp].
+	posIdx := closed.AppendIndicesBelow(lv.posIdx[:0], e.NumPos)
+	th := e.Visitor.UpdateThresholds(posIdx, survivors[:mp])
 	if e.Visitor.PruneAfterScan(th, xp, xn, mp, len(survivors)-mp) {
 		e.stats.PrunedAfterScan++
 		return nil
@@ -300,11 +314,12 @@ func (e *Enumerator) visitNode(t task) error {
 
 	// Step 14: descend into each surviving candidate in ORD order. Each
 	// child is first checked against the loose bounds using the
-	// thresholds already computed for this node (a superset of the
+	// threshold already computed for this node (over a superset of the
 	// child's reachable rows, so conservative): children that cannot
-	// contribute are skipped without paying a recursive call and a fresh
-	// threshold scan. The child's X is written into the next level's
-	// arena slot, where it stays stable for the whole child subtree.
+	// contribute are skipped without paying a recursive call. The
+	// child's X is written into the next level's arena slot, where it
+	// stays stable for the whole child subtree; posLeft, the positive
+	// rows left in survivors[i+1:], becomes its candidate split.
 	childLv := e.scratch.level(t.depth + 1)
 	childX := childLv.xSet()
 	childMask := lv.childMaskSet()
@@ -330,7 +345,7 @@ func (e *Enumerator) visitNode(t task) error {
 		childX.CopyFrom(closed)
 		childX.Add(r)
 		if err := e.visitNode(task{
-			x: childX, items: childItems, cand: survivors[i+1:], minNext: r + 1, depth: t.depth + 1,
+			x: childX, items: childItems, cand: survivors[i+1:], numPos: posLeft, minNext: r + 1, depth: t.depth + 1,
 		}); err != nil {
 			return err
 		}

@@ -31,6 +31,7 @@ type level struct {
 	x         *bitset.Set // the task's pending row set X (written by the parent)
 	closed    *bitset.Set // R(I(X)) of the node at this depth
 	alive     *bitset.Set // item-universe mask of the node's alive items
+	union     *bitset.Set // rows some alive item contains, minus R(I(X))
 	childMask *bitset.Set // item-universe scratch for per-child item sets
 
 	survivors  []int
@@ -58,6 +59,7 @@ func (sc *scratch) level(d int) *level {
 			x:          bitset.New(sc.numRows),
 			closed:     bitset.New(sc.numRows),
 			alive:      bitset.New(sc.numItems),
+			union:      bitset.New(sc.numRows),
 			childMask:  bitset.New(sc.numItems),
 			survivors:  make([]int, 0, sc.numRows),
 			childItems: make([]int, 0, sc.numItems),
@@ -88,6 +90,11 @@ func (l *level) closedSet() *bitset.Set { return l.closed }
 //
 //vet:allocfree
 func (l *level) aliveSet() *bitset.Set { return l.alive }
+
+// unionSet returns the level's row-set slot for the survivor scan.
+//
+//vet:allocfree
+func (l *level) unionSet() *bitset.Set { return l.union }
 
 // childMaskSet returns the level's per-child item-set slot.
 //

@@ -218,6 +218,12 @@ func (v *staticVisitor) chiUpperBound(xpNow, xnNow, xpMax, xnMax int) float64 {
 	return best
 }
 
+// PruneOnEntry is the static loose-bound check: no row's list is
+// consulted, so the threshold is irrelevant.
+func (v *staticVisitor) PruneOnEntry(_ *bitset.Set, candPos []int, xp, xn, rn int) bool {
+	return v.PruneBeforeScan(engine.Threshold{}, xp, xn, len(candPos), rn)
+}
+
 func (v *staticVisitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 	return engine.Threshold{}
 }

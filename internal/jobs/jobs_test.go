@@ -439,6 +439,40 @@ func TestTrainJobPersistsModel(t *testing.T) {
 	}
 }
 
+// TestQuickTrainJobJournalsThreeTimes checks that the progress flush
+// throttle starts at the running write: a train job that ends inside
+// the 200 ms flush interval is journaled as queued, running and
+// terminal, with no progress rewrite between the last two.
+func TestQuickTrainJobJournalsThreeTimes(t *testing.T) {
+	m := openTest(t, Config{})
+	var mu sync.Mutex
+	var states []string
+	m.persisted = func(rec *Record) {
+		mu.Lock()
+		defer mu.Unlock()
+		states = append(states, rec.State)
+	}
+	d, _ := dataset.RunningExample()
+	spec := Spec{Kind: KindTrain, ModelName: "quick", K: 2, NL: 3, MinsupFrac: 0.5}
+	rec, err := m.Submit(spec, Data{Dataset: d, Name: "running-example"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitTerminal(t, m, rec.ID)
+	if got.State != StateSucceeded {
+		t.Fatalf("train job: %s (%s)", got.State, got.Error)
+	}
+	m.Close() // the terminal write lands after the state change; wait for it
+	if ran := got.FinishedAt.Sub(*got.StartedAt); ran >= 200*time.Millisecond {
+		t.Skipf("the job ran %v, past the flush interval", ran)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{StateQueued, StateRunning, StateSucceeded}; !reflect.DeepEqual(states, want) {
+		t.Fatalf("journal writes %v, want %v", states, want)
+	}
+}
+
 // TestSaveModelConcurrent saves one model name from two goroutines at
 // once, as two train jobs with the same modelName do (the pool runs two
 // jobs by default, and an auto-refresh does not wait for a running

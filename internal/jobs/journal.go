@@ -16,6 +16,9 @@ import (
 // write-temp-then-rename idiom, so a crash mid-write leaves either the
 // old record or the new one, never a torn file.
 func (m *Manager) persist(rec *Record) error {
+	if m.persisted != nil {
+		m.persisted(rec)
+	}
 	data, err := json.MarshalIndent(rec, "", " ")
 	if err != nil {
 		return err

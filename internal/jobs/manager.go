@@ -69,6 +69,10 @@ type Manager struct {
 	durCount  int64
 	durSum    float64
 	durBucket []int64 // cumulative counts per DurationBuckets entry
+
+	// persisted, when set, is called with every record persist is
+	// about to write; tests count journal writes through it.
+	persisted func(*Record)
 }
 
 // Open creates the data directories, deletes the staging files of
@@ -404,6 +408,10 @@ func (m *Manager) run(j *job) {
 	if err := m.persist(snap); err != nil {
 		m.logf("job %s: journal write: %v", j.id, err)
 	}
+	// The journal was just written: the first progress flush waits a
+	// full interval, so a job that ends inside it is journaled as
+	// queued, running and terminal only.
+	lastFlush := time.Now()
 	m.logf("job %s running (%s)", j.id, spec.Kind)
 
 	runCtx := ctx
@@ -418,7 +426,6 @@ func (m *Manager) run(j *job) {
 		modelName  string
 		modelPath  string
 		err        error
-		lastFlush  time.Time
 		progressFn engine.ProgressFunc
 	)
 	// The hook runs on mining goroutines; the engine's sampler already
