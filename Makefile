@@ -36,8 +36,10 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Mining-kernel benchmarks with allocation counts, five repeats each:
-# the Mine benchmarks must stay at zero steady-state allocations.
+# Times the mining benchmarks (every benchmark whose name holds Mine),
+# five repeats each, with allocation counts that nothing checks. The
+# zero-allocation pin on the kernel's steady state is
+# TestKernelSteadyStateAllocs, which go test runs outside -race.
 perf:
 	$(GO) test -run '^$$' -bench 'Mine' -benchmem -count=5 ./...
 

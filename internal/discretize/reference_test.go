@@ -11,7 +11,9 @@ import (
 // referenceFit is the sequential fit that fitMatrix replaced, kept as
 // the oracle its cut points must deep-equal. It sorts each gene with a
 // reflect-based stable sort, allocates the right-hand class counts at
-// every boundary of every split and judges MDL from per-call maps.
+// every boundary of every split and judges MDL from per-call maps. It
+// computes entropies with a copy of its own formula, refEntropy, so a
+// change to stats.Entropy cannot change the oracle with it.
 //
 // Two of its behaviours are known defects that fitMatrix fixes, so the
 // oracle tests stay clear of them: a boundary midpoint that rounds up
@@ -61,7 +63,7 @@ func refBestBinarySplit(vs []stats.LabeledValue, numClasses int) (cut float64, g
 	for _, v := range vs {
 		totalCounts[v.Label]++
 	}
-	baseH := stats.Entropy(totalCounts)
+	baseH := refEntropy(totalCounts)
 
 	leftCounts := make([]int, numClasses)
 	bestGain := math.Inf(-1)
@@ -76,8 +78,8 @@ func refBestBinarySplit(vs []stats.LabeledValue, numClasses int) (cut float64, g
 		for c := range rightCounts {
 			rightCounts[c] = totalCounts[c] - leftCounts[c]
 		}
-		w := float64(i+1)/float64(n)*stats.Entropy(leftCounts) +
-			float64(n-i-1)/float64(n)*stats.Entropy(rightCounts)
+		w := float64(i+1)/float64(n)*refEntropy(leftCounts) +
+			float64(n-i-1)/float64(n)*refEntropy(rightCounts)
 		g := baseH - w
 		if g > bestGain {
 			bestGain = g
@@ -139,5 +141,29 @@ func refEntropyOf(vs []stats.LabeledValue) float64 {
 	for _, c := range counts {
 		flat = append(flat, c)
 	}
-	return stats.Entropy(flat)
+	return refEntropy(flat)
+}
+
+// refEntropy is the entropy formula of the replaced fit, term by term,
+// kept here so the reference does not follow stats.Entropy. Each
+// product is rounded to float64, as stats.Entropy's terms are; on a
+// target that does not fuse multiply-add, such as amd64, that is the
+// formula's own rounding.
+func refEntropy(counts []int) float64 {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / float64(total)
+		h -= float64(p * math.Log2(p))
+	}
+	return h
 }

@@ -1,16 +1,34 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 )
 
 // The request reader decodes the four hot request bodies
 // (DatasetCreateRequest, DatasetAppendRequest, ClassifyRequest and
-// BatchRequest) in one pass over the buffered body. encoding/json
-// scans every byte twice and fills each value through reflection; on a
-// wide dataset body that is most of the upload.
+// BatchRequest) from the buffered body. encoding/json scans every byte
+// twice and fills each value through reflection; on a wide dataset
+// body that is most of the upload.
+//
+// A body with rows (create, append and batch) is read in two passes,
+// since strconv.ParseFloat is most of the work. The structure pass
+// reads everything but the rows' values arrays and records each of
+// them as a span of offsets, from its '[' to just past the first ']'
+// after it: a number cannot contain ']', so in every array the reader
+// accepts that one closes it. Then up to GOMAXPROCS goroutines parse
+// the spans, each into its own row's slot, taking rows from a shared
+// counter; a body with fewer than two rows is parsed inline. A span
+// that does not parse, or does not end exactly at its ']', declines the
+// whole body, so encoding/json decides that body's status and message
+// as it decides every other decline, and what the reader accepts, with
+// the values it gives, does not depend on the split or on the number of
+// goroutines.
 //
 // The reader accepts only what it decodes exactly as the handlers'
 // encoding/json path does, and declines everything else; the handlers
@@ -36,15 +54,36 @@ import (
 // json.Unmarshal. An empty array is an empty non-nil slice and an
 // absent field stays nil, except batch rows, which the token decoder
 // appends one by one. Bytes after the top-level value are ignored, as
-// json.Decoder.Decode ignores them. Slices grow as elements arrive, and
-// a values array is collected in one scratch buffer and copied out at
-// its length; nothing is sized from a count the body declares.
+// json.Decoder.Decode ignores them. Slices grow as elements arrive and
+// spans as rows do, and a values array is collected in its goroutine's
+// scratch buffer and copied out at its length; nothing is sized from a
+// count the body declares.
 
 // readRequest decodes body into dst when dst is one of the reader's
 // request types and the reader accepts body. Otherwise it leaves dst
 // untouched and reports false.
 func readRequest(body []byte, dst any) bool {
-	r := &reader{b: body}
+	return newReader(body).request(dst)
+}
+
+// readBatchRequest decodes a batch body of at most maxB rows, or
+// reports false.
+func readBatchRequest(body []byte, maxB int) (*BatchRequest, bool) {
+	req, ok := newReader(body).batchRequest(maxB)
+	if !ok {
+		return nil, false
+	}
+	return &req, true
+}
+
+// newReader returns a reader of body that parses values arrays on
+// GOMAXPROCS goroutines at most.
+func newReader(body []byte) *reader {
+	return &reader{b: body, workers: runtime.GOMAXPROCS(0)}
+}
+
+// request is readRequest on r.
+func (r *reader) request(dst any) bool {
 	switch dst := dst.(type) {
 	case *ClassifyRequest:
 		return fill(dst, r.classifyRequest)
@@ -54,17 +93,6 @@ func readRequest(body []byte, dst any) bool {
 		return fill(dst, r.datasetAppend)
 	}
 	return false
-}
-
-// readBatchRequest decodes a batch body of at most maxB rows, or
-// reports false.
-func readBatchRequest(body []byte, maxB int) (*BatchRequest, bool) {
-	r := &reader{b: body}
-	req, ok := r.batchRequest(maxB)
-	if !ok {
-		return nil, false
-	}
-	return &req, true
 }
 
 // fill sets *dst to what read returns when read accepts.
@@ -113,7 +141,7 @@ func (r *reader) batchRequest(maxB int) (req BatchRequest, ok bool) {
 				row, ok := r.batchRow()
 				req.Rows = append(req.Rows, row)
 				return ok
-			})
+			}) && parseValues(r, req.Rows, func(row *BatchRow) *[]float64 { return &row.Values })
 		}
 		return ok
 	})
@@ -121,15 +149,17 @@ func (r *reader) batchRequest(maxB int) (req BatchRequest, ok bool) {
 }
 
 func (r *reader) batchRow() (row BatchRow, ok bool) {
+	var sp span
 	ok = r.object(batchRowKeys, func(key string) (ok bool) {
 		switch key {
 		case "values":
-			row.Values, ok = r.floats()
+			sp, ok = r.valuesSpan()
 		case "items":
 			row.Items, ok = list(r, r.integer)
 		}
 		return ok
 	})
+	r.spans = append(r.spans, sp)
 	return row, ok
 }
 
@@ -143,7 +173,7 @@ func (r *reader) datasetCreate() (req DatasetCreateRequest, ok bool) {
 		case "genes":
 			req.Genes, ok = list(r, r.str)
 		case "rows":
-			req.Rows, ok = list(r, r.datasetRow)
+			req.Rows, ok = r.datasetRows()
 		}
 		return ok
 	})
@@ -152,22 +182,30 @@ func (r *reader) datasetCreate() (req DatasetCreateRequest, ok bool) {
 
 func (r *reader) datasetAppend() (req DatasetAppendRequest, ok bool) {
 	ok = r.object(appendKeys, func(string) (ok bool) {
-		req.Rows, ok = list(r, r.datasetRow)
+		req.Rows, ok = r.datasetRows()
 		return ok
 	})
 	return req, ok
 }
 
+// datasetRows reads an array of dataset rows, then parses their values.
+func (r *reader) datasetRows() ([]DatasetRow, bool) {
+	rows, ok := list(r, r.datasetRow)
+	return rows, ok && parseValues(r, rows, func(row *DatasetRow) *[]float64 { return &row.Values })
+}
+
 func (r *reader) datasetRow() (row DatasetRow, ok bool) {
+	var sp span
 	ok = r.object(rowKeys, func(key string) (ok bool) {
 		switch key {
 		case "values":
-			row.Values, ok = r.floats()
+			sp, ok = r.valuesSpan()
 		case "label":
 			row.Label, ok = r.label()
 		}
 		return ok
 	})
+	r.spans = append(r.spans, sp)
 	return row, ok
 }
 
@@ -190,6 +228,81 @@ type reader struct {
 	i int
 	// scratch collects the numbers of one values array.
 	scratch []float64
+	// spans holds one entry per row read so far, in order: the row's
+	// values array, or the zero span when it has none.
+	spans []span
+	// workers bounds the goroutines that parse the spans.
+	workers int
+}
+
+// span is a values array in the body, from its '[' to just past its
+// ']'. The zero span marks a row without one.
+type span struct{ start, end int }
+
+// valuesSpan steps over a values array and returns its span. It checks
+// only the brackets; parseValues parses what lies between them.
+func (r *reader) valuesSpan() (span, bool) {
+	if r.peek() != '[' {
+		return span{}, false
+	}
+	end := bytes.IndexByte(r.b[r.i:], ']')
+	if end < 0 {
+		return span{}, false
+	}
+	sp := span{r.i, r.i + end + 1}
+	r.i = sp.end
+	return sp, true
+}
+
+// parseValues parses the values array of each of rows, whose spans are
+// r.spans in the same order, into the slot values returns for the row.
+// It runs on up to r.workers goroutines, each taking rows from a shared
+// counter, and inline when there are fewer than two rows. It reports
+// false when any array does not parse as floats parses it, or does not
+// end at its span's end.
+func parseValues[T any](r *reader, rows []T, values func(*T) *[]float64) bool {
+	spans := r.spans[:len(rows)]
+	parse := func(i int, scratch *[]float64) bool {
+		sp := spans[i]
+		if sp.end == 0 {
+			return true
+		}
+		s := reader{b: r.b[:sp.end], i: sp.start, scratch: *scratch}
+		vals, ok := s.floats()
+		*scratch = s.scratch
+		*values(&rows[i]) = vals
+		return ok && s.i == sp.end
+	}
+	workers := min(r.workers, len(spans))
+	if workers < 2 {
+		for i := range spans {
+			if !parse(i, &r.scratch) {
+				return false
+			}
+		}
+		return true
+	}
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch []float64
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(spans) {
+					return
+				}
+				if !parse(i, &scratch) {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return !failed.Load()
 }
 
 // peek skips whitespace and returns the next byte, or 0 at the end.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,8 +17,10 @@ import (
 // small so inputs reach it.
 const fuzzMaxBatch = 3
 
-// canonicalBodies holds one ordinary body of each kind the reader
-// decodes.
+// canonicalBodies holds ordinary bodies of each kind the reader
+// decodes. The multi-row ones have their values arrays parsed apart
+// from the rest: padded with whitespace, empty, absent, first or last
+// in a row.
 var canonicalBodies = []string{
 	streamFixtureCreate,
 	`{"rows":[{"values":[2,8],"label":"a"},{"values":[6.5e-3,-1],"label":1}]}`,
@@ -25,6 +28,10 @@ var canonicalBodies = []string{
 	`{"items":[0,3,7]}`,
 	`{"model":"m","rows":[{"values":[1,2]},{"items":[4]},{}]}`,
 	` {"name":"sp","classes":[],"genes":["géne","\"q\""],"rows":[]} trailing`,
+	`{"name":"mr","classes":["a","b"],"genes":["g0","g1","g2"],"rows":[{"values":[1,2,3],"label":"a"},{"label":1,"values":[ -0 ,4.5E1, 0.125 ]},{"values":[],"label":"b"},{"label":0},{"values":[7,-8e-2,9]}]}`,
+	`{"rows":[{"values":[1e-300,2],"label":0},{"values":[3,-4.25]},{"label":"b","values":[	5 ,
+6 ]}]}`,
+	`{"rows":[{"items":[0],"values":[-0,0]},{"values":[]},{"values":[1.5,2,-3]}],"model":"m"}`,
 }
 
 // declineBodies lists bodies the reader must decline, so that
@@ -72,6 +79,17 @@ var declineBodies = []string{
 	"{\"name\":\"a\x01b\",\"classes\":[],\"genes\":[]}",
 	// Row maxBatch+1 of a batch.
 	`{"rows":[{"items":[0]},{"items":[0]},{"items":[0]},{"items":[0]}]}`,
+	`{"rows":[{"items":[0]},{"values":[2]},{"values":[3]},{"values":[4]}]}`,
+	// A values array, read after the rest of the body, that fails in
+	// row 2 or later: a trailing comma, an extra ']', a nested array, a
+	// string holding ']', no ']' before the end of the body, a repeated
+	// key.
+	`{"rows":[{"values":[1]},{"values":[1,]}]}`,
+	`{"rows":[{"values":[1]},{"values":[2]},{"values":[1]]}]}`,
+	`{"rows":[{"values":[1]},{"values":[[1]]}]}`,
+	`{"rows":[{"values":[1],"label":"a"},{"values":[2,"]"],"label":"b"}]}`,
+	`{"rows":[{"values":[1]},{"values":[2,3`,
+	`{"rows":[{"values":[1]},{"values":[1],"values":[2]}]}`,
 	// Broken syntax.
 	``,
 	`{"values":[1,]}`,
@@ -308,24 +326,71 @@ func TestReaderAllocatesNoMoreThanUnmarshal(t *testing.T) {
 	}
 }
 
-// BenchmarkRequestDecode times the reader against encoding/json on the
-// PC/3 create body and on a batch of 16 of its rows cut to 420 values,
-// about the 130 KB of a classify-open request.
-func BenchmarkRequestDecode(b *testing.B) {
-	create := pc3Body(b)
+// batch16Body returns a batch of the first 16 rows of a create body,
+// cut to 420 values: for the PC/3 body, about the 130 KB of a
+// classify-open request.
+func batch16Body(t testing.TB, create []byte) []byte {
+	t.Helper()
 	var req DatasetCreateRequest
 	if err := json.Unmarshal(create, &req); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	frags := make([]string, 16)
 	for i := range frags {
 		v, err := json.Marshal(BatchRow{Values: req.Rows[i].Values[:420]})
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		frags[i] = string(v)
 	}
-	batch := []byte(`{"rows":[` + strings.Join(frags, ",") + `]}`)
+	return []byte(`{"rows":[` + strings.Join(frags, ",") + `]}`)
+}
+
+// TestReaderAcrossWorkers: on 2 and 7 goroutines the reader accepts the
+// bodies it accepts on one, as the same request types, with the same
+// values, -0 and nil slices included.
+func TestReaderAcrossWorkers(t *testing.T) {
+	create := pc3Body(t)
+	batch := batch16Body(t, create)
+	bodies := [][]byte{create, batch}
+	for _, b := range slices.Concat(canonicalBodies, declineBodies) {
+		bodies = append(bodies, []byte(b))
+	}
+	// decode reads body as each request type, nil where declined.
+	decode := func(body []byte, workers int) []any {
+		var out []any
+		for _, dst := range []any{new(ClassifyRequest), new(DatasetCreateRequest), new(DatasetAppendRequest)} {
+			var v any
+			if (&reader{b: body, workers: workers}).request(dst) {
+				v = reflect.ValueOf(dst).Elem().Interface()
+			}
+			out = append(out, v)
+		}
+		var v any
+		if req, ok := (&reader{b: body, workers: workers}).batchRequest(DefaultMaxBatch); ok {
+			v = req
+		}
+		return append(out, v)
+	}
+	for i, body := range bodies {
+		want := decode(body, 1)
+		if i == 0 && want[1] == nil || i == 1 && want[3] == nil {
+			t.Fatalf("body %d: the reader declines it on one goroutine", i)
+		}
+		for _, workers := range []int{2, 7} {
+			got := decode(body, workers)
+			if !reflect.DeepEqual(got, want) || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+				t.Fatalf("body %d (%.60q...): %d goroutines decode it differently from one", i, body, workers)
+			}
+		}
+	}
+}
+
+// BenchmarkRequestDecode times the reader against encoding/json on the
+// PC/3 create body and on batch16Body of it.
+func BenchmarkRequestDecode(b *testing.B) {
+	create := pc3Body(b)
+	batch := batch16Body(b, create)
 	run := func(name string, body []byte, decode func([]byte) bool) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))

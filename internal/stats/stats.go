@@ -9,11 +9,14 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Entropy returns the Shannon entropy (base 2) of a label count vector.
 // Zero counts contribute nothing; an empty or all-zero vector has
-// entropy 0.
+// entropy 0. Each term p·log2(p), p = c/total, comes from a table when
+// total is at most entropyTableMax, and is computed otherwise; both
+// give entropyTerm's bits, so the table changes no result.
 func Entropy(counts []int) float64 {
 	total := 0
 	for _, c := range counts {
@@ -22,15 +25,50 @@ func Entropy(counts []int) float64 {
 	if total == 0 {
 		return 0
 	}
+	var row []float64
+	if 0 < total && total <= entropyTableMax {
+		row = entropyTerms()[total*(total-1)/2:][:total]
+	}
 	h := 0.0
 	for _, c := range counts {
-		if c == 0 {
-			continue
+		switch {
+		case c == 0:
+		case uint(c-1) < uint(len(row)):
+			h -= row[c-1]
+		default:
+			h -= entropyTerm(c, total)
 		}
-		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
 	}
 	return h
+}
+
+// entropyTableMax is the largest total whose entropy terms Entropy
+// reads from entropyTerms. The fit calls Entropy at every boundary of
+// every gene with totals up to the training row count, and every
+// benchmark shape has at most 408 rows.
+const entropyTableMax = 512
+
+// entropyTerms returns the table of entropyTerm(c, total) for
+// 0 < c ≤ total ≤ entropyTableMax, at index total·(total−1)/2 + c − 1:
+// about 131,000 entries, 1 MB, built on first use.
+var entropyTerms = sync.OnceValue(func() []float64 {
+	t := make([]float64, entropyTableMax*(entropyTableMax+1)/2)
+	for total := 1; total <= entropyTableMax; total++ {
+		row := t[total*(total-1)/2:][:total]
+		for c := 1; c <= total; c++ {
+			row[c-1] = entropyTerm(c, total)
+		}
+	}
+	return t
+})
+
+// entropyTerm is p·log2(p) for p = c/total. The float64 conversion
+// rounds the product, so a target that fuses multiply-add cannot fold
+// it into Entropy's subtraction: a term computed here and one read
+// from the table subtract the same bits.
+func entropyTerm(c, total int) float64 {
+	p := float64(c) / float64(total)
+	return float64(p * math.Log2(p))
 }
 
 // LabeledValue pairs one sample's value for a single gene with its class.

@@ -46,6 +46,62 @@ func TestEntropyBounds(t *testing.T) {
 	}
 }
 
+// formulaEntropy is Entropy computed term by term, as it was before the
+// terms were tabulated, with each product rounded to float64 as
+// entropyTerm rounds it. On a target that does not fuse multiply-add,
+// such as amd64, the rounding changes nothing.
+func formulaEntropy(counts []int) float64 {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / float64(total)
+		h -= float64(p * math.Log2(p))
+	}
+	return h
+}
+
+// TestEntropyTableMatchesFormula: Entropy equals formulaEntropy bit for
+// bit on every two-class vector up to 64 past the table's bound, and on
+// random three- to five-class vectors on both sides of it.
+func TestEntropyTableMatchesFormula(t *testing.T) {
+	same := func(counts []int) {
+		t.Helper()
+		got, want := Entropy(counts), formulaEntropy(counts)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Entropy(%v) = %v (%#x), formula %v (%#x)",
+				counts, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for total := 1; total <= entropyTableMax+64; total++ {
+		for c := 0; c <= total; c++ {
+			same([]int{c, total - c})
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 20_000; i++ {
+		counts := make([]int, 3+r.Intn(3))
+		for left := 1 + r.Intn(2*entropyTableMax); left > 0; {
+			c := 1 + r.Intn(left)
+			counts[r.Intn(len(counts))] += c
+			left -= c
+		}
+		same(counts)
+	}
+	// Counts outside [0, total] miss the table and take the formula.
+	same([]int{-1, 3})
+	same([]int{5, -2, 1})
+	same([]int{-3, -4})
+}
+
 func TestBestBinarySplitSeparable(t *testing.T) {
 	vs := []LabeledValue{
 		{1, 0}, {2, 0}, {3, 0}, {10, 1}, {11, 1},
