@@ -14,7 +14,7 @@ vet:
 
 # Repo-specific static analysis: conventions (bitset aliasing, float
 # compares, panic and error hygiene) plus the contract-verification
-# layer (allocfree, visitoralias, ctxflow, sentinelwrap, atomicguard).
+# layer (allocfree, visitoralias, ctxflow, sentinelwrap).
 # See DESIGN.md §7.
 analyze:
 	$(GO) run ./cmd/vetsuite ./...

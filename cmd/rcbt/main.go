@@ -87,7 +87,7 @@ func trainModel(trainPath string, k, nl int, minsup float64) (*rcbt.Model, error
 	}
 	fmt.Printf("genes: %d raw, %d after entropy discretization; %d items\n",
 		train.NumGenes(), dz.NumSelectedGenes(), dTrain.NumItems())
-	c, err := rcbt.Train(dTrain, rcbt.Config{K: k, NL: nl, MinsupFrac: minsup, LBMaxLen: 5, LBMaxCandidates: 1 << 18})
+	c, err := rcbt.Train(dTrain, rcbt.Config{K: k, NL: nl, MinsupFrac: minsup})
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/discretize"
+	"repro/internal/engine"
 	"repro/internal/lowerbound"
 	"repro/topkrgs"
 )
@@ -44,16 +45,9 @@ func main() {
 		fail(err)
 	}
 	cls := dataset.Label(*classIdx)
-	ms := int(*minsup)
+	ms := max(int(*minsup), 1)
 	if *minsup < 1 {
-		n := d.ClassCount(cls)
-		ms = int(*minsup * float64(n))
-		if float64(ms) < *minsup*float64(n) {
-			ms++
-		}
-	}
-	if ms < 1 {
-		ms = 1
+		ms = engine.RelativeMinsup(*minsup, d.ClassCount(cls))
 	}
 	res, err := topkrgs.Mine(context.Background(), d, topkrgs.MineOptions{
 		Class:   cls,
@@ -76,9 +70,7 @@ func main() {
 	for _, g := range res.Groups {
 		fmt.Println("  " + g.Render(d))
 		if *nl > 0 {
-			lbs := lowerbound.Find(d, g, lowerbound.Config{
-				NL: *nl, MaxLen: 5, MaxCandidates: 1 << 18, ItemScore: scores,
-			})
+			lbs := lowerbound.Find(d, g, lowerbound.Config{NL: *nl, ItemScore: scores})
 			for _, lb := range lbs {
 				fmt.Println("      lb: " + lb.Render(d))
 			}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
+	"repro/internal/engine"
 	"repro/internal/farmer"
 	"repro/internal/synth"
 )
@@ -38,8 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n := d.ClassCount(0)
-	ms := int(*minsup*float64(n)) + 1
+	ms := engine.RelativeMinsup(*minsup, d.ClassCount(0))
 	fmt.Printf("%s: %d rows, %d items, minsup=%d (%.0f%% of class %s)\n\n",
 		p.Name, d.NumRows(), d.NumItems(), ms, *minsup*100, d.ClassNames[0])
 	fmt.Printf("%-24s %10s %10s %8s\n", "algorithm", "time", "results", "note")

@@ -49,9 +49,7 @@ func main() {
 	fmt.Printf("entropy-MDL discretization kept %d genes (%d items)\n",
 		dz.NumSelectedGenes(), dTrain.NumItems())
 
-	c, err := rcbt.Train(dTrain, rcbt.Config{
-		K: *k, NL: *nl, MinsupFrac: 0.7, LBMaxLen: 5, LBMaxCandidates: 1 << 18,
-	})
+	c, err := rcbt.Train(dTrain, rcbt.Config{K: *k, NL: *nl, MinsupFrac: 0.7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
+	"repro/internal/engine"
 	"repro/internal/lowerbound"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -66,16 +67,13 @@ func main() {
 	freq := make([]int, train.NumGenes())
 	scores := lowerbound.DefaultItemScores(d)
 	for cls := 0; cls < d.NumClasses(); cls++ {
-		n := d.ClassCount(dataset.Label(cls))
-		ms := int(0.7*float64(n)) + 1
+		ms := engine.RelativeMinsup(0.7, d.ClassCount(dataset.Label(cls)))
 		res, err := core.Mine(d, dataset.Label(cls), core.DefaultConfig(ms, 1))
 		if err != nil {
 			log.Fatal(err)
 		}
 		for _, g := range res.Groups {
-			for _, lb := range lowerbound.Find(d, g, lowerbound.Config{
-				NL: *nl, MaxLen: 5, MaxCandidates: 1 << 18, ItemScore: scores,
-			}) {
+			for _, lb := range lowerbound.Find(d, g, lowerbound.Config{NL: *nl, ItemScore: scores}) {
 				for _, item := range lb.Antecedent {
 					freq[d.Items[item].Gene]++
 				}

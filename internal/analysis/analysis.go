@@ -15,8 +15,9 @@
 //   - deprecatedapi: declarations carrying a "Deprecated:" doc
 //     paragraph must not be used from outside their defining package,
 //     so compatibility shims can be deleted on schedule.
-//   - uncheckederr: cmd/, internal/bench, internal/report and
-//     internal/serve must not drop error returns on the floor.
+//   - uncheckederr: cmd/, internal/bench, internal/report,
+//     internal/serve, internal/jobs, internal/datastore and
+//     internal/atomicfile must not drop error returns on the floor.
 //   - syncguard: preparation for the parallel miner — no by-value
 //     copies of lock-carrying types, no goroutine capture of shared
 //     mutable bitsets.
@@ -37,8 +38,6 @@
 //   - sentinelwrap: fmt.Errorf must wrap error operands with %w (never
 //     %v/%s) and sentinel errors are matched with errors.Is, never ==,
 //     keeping jobs.Record.Cause() matchable across a journal round-trip.
-//   - atomicguard: a field or variable accessed through sync/atomic
-//     anywhere may never be read or written non-atomically elsewhere.
 //
 // Findings can be suppressed line-by-line with a trailing or preceding
 // comment in either of two forms:
@@ -212,7 +211,6 @@ func DefaultSuite() *Suite {
 		VisitorAliasAnalyzer,
 		CtxFlowAnalyzer,
 		SentinelWrapAnalyzer,
-		AtomicGuardAnalyzer,
 	}}
 }
 

@@ -53,11 +53,6 @@ func TestSentinelWrapFixture(t *testing.T) {
 		"repro/internal/analysis/testdata/src/sentinelwrap")
 }
 
-func TestAtomicGuardFixture(t *testing.T) {
-	runFixture(t, AtomicGuardAnalyzer, "atomicguard",
-		"repro/internal/analysis/testdata/src/atomicguard")
-}
-
 func TestVisitorAliasFixture(t *testing.T) {
 	runFixture(t, VisitorAliasAnalyzer, "visitoralias",
 		"repro/internal/analysis/testdata/src/visitoralias")
@@ -83,14 +78,15 @@ func TestAllocFreeFixture(t *testing.T) {
 
 func TestUncheckedErrScope(t *testing.T) {
 	for path, want := range map[string]bool{
-		"repro/cmd/topkrgs":        true,
-		"repro/cmd/vetsuite":       true,
-		"repro/internal/bench":     true,
-		"repro/internal/report":    true,
-		"repro/internal/serve":     true,
-		"repro/internal/core":      false,
-		"repro/internal/benchmark": false,
-		"repro/internal/served":    false,
+		"repro/cmd/topkrgs":         true,
+		"repro/cmd/vetsuite":        true,
+		"repro/internal/bench":      true,
+		"repro/internal/report":     true,
+		"repro/internal/serve":      true,
+		"repro/internal/atomicfile": true,
+		"repro/internal/core":       false,
+		"repro/internal/benchmark":  false,
+		"repro/internal/served":     false,
 	} {
 		if got := uncheckedErrScope(path); got != want {
 			t.Errorf("uncheckedErrScope(%q) = %v, want %v", path, got, want)

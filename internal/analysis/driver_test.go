@@ -132,7 +132,7 @@ func TestMainJSONAndFlags(t *testing.T) {
 	for _, name := range []string{
 		"bitsetalias", "deprecatedapi", "floatcmp", "panichygiene",
 		"uncheckederr", "syncguard", "allocfree", "visitoralias",
-		"ctxflow", "sentinelwrap", "atomicguard",
+		"ctxflow", "sentinelwrap",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())

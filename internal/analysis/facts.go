@@ -19,15 +19,12 @@ import (
 // A declaration is deprecated when its doc comment has a paragraph
 // starting with "Deprecated:", the standard Go convention.
 //
-// The contract-verification analyzers add three more tables plus the
+// The contract-verification analyzers add two more tables plus the
 // compiler's escape diagnostics:
 //
 //   - AllocFree holds functions whose doc comment carries the
 //     "vet:allocfree" marker; the allocfree analyzer proves they
 //     compile without heap escapes.
-//   - AtomicFields holds every field or package-level variable whose
-//     address is passed to a sync/atomic function anywhere in the
-//     module; the atomicguard analyzer then bans plain access to them.
 //   - Sentinels holds package-level error variables (errors.New-style
 //     sentinels); sentinelwrap bans ==/!= comparisons against them.
 //   - Escapes is the parsed -gcflags=-m output; nil until the driver
@@ -37,10 +34,9 @@ type Facts struct {
 	Fresh      map[types.Object]bool
 	Deprecated map[types.Object]bool
 
-	AllocFree    map[types.Object]bool
-	AtomicFields map[types.Object]bool
-	Sentinels    map[types.Object]bool
-	Escapes      *EscapeSet
+	AllocFree map[types.Object]bool
+	Sentinels map[types.Object]bool
+	Escapes   *EscapeSet
 
 	funcSites map[types.Object]FuncSite
 }
@@ -76,12 +72,11 @@ var bitsetFresh = map[string]bool{
 // built-ins.
 func ComputeFacts(pkgs []*Package) *Facts {
 	facts := &Facts{
-		Fresh:        map[types.Object]bool{},
-		Deprecated:   map[types.Object]bool{},
-		AllocFree:    map[types.Object]bool{},
-		AtomicFields: map[types.Object]bool{},
-		Sentinels:    map[types.Object]bool{},
-		funcSites:    map[types.Object]FuncSite{},
+		Fresh:      map[types.Object]bool{},
+		Deprecated: map[types.Object]bool{},
+		AllocFree:  map[types.Object]bool{},
+		Sentinels:  map[types.Object]bool{},
+		funcSites:  map[types.Object]FuncSite{},
 	}
 	for _, pkg := range pkgs {
 		inBitset := isBitsetPkgPath(pkg.Path)
@@ -140,7 +135,6 @@ func ComputeFacts(pkgs []*Package) *Facts {
 				}
 			}
 		}
-		collectAtomicFields(pkg, facts.AtomicFields)
 	}
 	return facts
 }
@@ -159,62 +153,6 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 		}
 	}
 	return false
-}
-
-// collectAtomicFields records every variable whose address is taken as
-// the pointer argument of a sync/atomic function (atomic.AddInt64,
-// atomic.LoadUint32, ...). Typed atomics (atomic.Int64 and friends)
-// need no facts: their representation is private, so non-atomic access
-// cannot compile in the first place.
-func collectAtomicFields(pkg *Package, out map[types.Object]bool) {
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(pkg.Info, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-				return true
-			}
-			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-				return true
-			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				if obj := addressedVar(pkg.Info, un.X); obj != nil {
-					out[obj] = true
-				}
-			}
-			return true
-		})
-	}
-}
-
-// addressedVar resolves the variable (field, package-level var or
-// local) an address-of expression targets, or nil.
-func addressedVar(info *types.Info, expr ast.Expr) *types.Var {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		v, _ := info.Uses[e].(*types.Var)
-		return v
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[e]; ok {
-			v, _ := sel.Obj().(*types.Var)
-			return v
-		}
-		// Package-qualified variable: pkg.Var.
-		v, _ := info.Uses[e.Sel].(*types.Var)
-		return v
-	case *ast.IndexExpr:
-		// &slice[i] / &arr[i]: attribute the access to the container
-		// variable so mixed atomic/plain element access is still caught.
-		return addressedVar(info, e.X)
-	}
-	return nil
 }
 
 // implementsError reports whether t satisfies the error interface.

@@ -9,10 +9,11 @@ import (
 // UncheckedErrAnalyzer flags dropped error returns in the packages that
 // talk to the outside world: cmd/ binaries, the internal/bench and
 // internal/report writers, the internal/serve HTTP layer, the
-// internal/jobs journal, and the internal/datastore snapshot
-// persistence. A call whose error result is discarded by an
-// expression statement (or a deferred call) silently loses ENOSPC on
-// result files, truncated model saves, and torn job journals.
+// internal/jobs journal, the internal/datastore snapshot persistence,
+// and internal/atomicfile, the one temp-file-and-rename writer under
+// both. A call whose error result is discarded by an expression
+// statement (or a deferred call) silently loses ENOSPC on result files,
+// truncated model saves, and torn job journals.
 //
 // Deliberate best-effort calls remain expressible: assign to _
 // explicitly, or annotate // vetsuite:allow uncheckederr -- <reason>.
@@ -24,7 +25,7 @@ import (
 // *os.File is flagged.
 var UncheckedErrAnalyzer = &Analyzer{
 	Name: "uncheckederr",
-	Doc:  "flags dropped error returns in cmd/, internal/bench, internal/report, internal/serve, internal/jobs and internal/datastore",
+	Doc:  "flags dropped error returns in cmd/, internal/bench, internal/report, internal/serve, internal/jobs, internal/datastore and internal/atomicfile",
 	Run:  runUncheckedErr,
 }
 
@@ -36,7 +37,8 @@ func uncheckedErrScope(path string) bool {
 		strings.HasSuffix(path, "/internal/report") ||
 		strings.HasSuffix(path, "/internal/serve") ||
 		strings.HasSuffix(path, "/internal/jobs") ||
-		strings.HasSuffix(path, "/internal/datastore")
+		strings.HasSuffix(path, "/internal/datastore") ||
+		strings.HasSuffix(path, "/internal/atomicfile")
 }
 
 func runUncheckedErr(pass *Pass) {

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/discretize"
+	"repro/internal/engine"
 	"repro/internal/synth"
 )
 
@@ -72,17 +73,9 @@ func prepare(p synth.Profile) (*prepared, error) {
 }
 
 // minsupAbs converts a relative support to an absolute count over the
-// consequent class (label 0), at least 1.
+// consequent class (label 0).
 func minsupAbs(d *dataset.Dataset, frac float64) int {
-	n := d.ClassCount(0)
-	v := int(frac * float64(n))
-	if float64(v) < frac*float64(n) {
-		v++
-	}
-	if v < 1 {
-		v = 1
-	}
-	return v
+	return engine.RelativeMinsup(frac, d.ClassCount(0))
 }
 
 // timeIt measures fn, returning the elapsed wall time.

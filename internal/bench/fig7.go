@@ -33,10 +33,7 @@ func Fig7(w io.Writer, scale Scale, nls []int) ([]Fig7Point, error) {
 		header(w, fmt.Sprintf("Figure 7: RCBT accuracy vs nl on %s", p.Name))
 		fmt.Fprintf(w, "%-6s %10s\n", "nl", "accuracy")
 		for _, nl := range nls {
-			c, err := rcbt.Train(pr.dTrain, rcbt.Config{
-				K: 10, NL: nl, MinsupFrac: 0.7,
-				LBMaxLen: 5, LBMaxCandidates: 1 << 18,
-			})
+			c, err := rcbt.Train(pr.dTrain, rcbt.Config{K: 10, NL: nl, MinsupFrac: 0.7})
 			if err != nil {
 				return nil, err
 			}

@@ -73,24 +73,15 @@ func Fig8(ctx context.Context, w io.Writer, scale Scale, nl int, topLabel int) (
 	freq := make([]int, pr.train.NumGenes())
 	scores := lowerbound.DefaultItemScores(d)
 	for cls := 0; cls < d.NumClasses(); cls++ {
-		n := d.ClassCount(dataset.Label(cls))
-		ms := int(0.7 * float64(n))
-		if float64(ms) < 0.7*float64(n) {
-			ms++
-		}
-		if ms < 1 {
-			ms = 1
-		}
 		res, _, err := mineVia(ctx, "topk", d, engine.Options{
-			Class: dataset.Label(cls), K: 1, Minsup: ms,
+			Class: dataset.Label(cls), K: 1,
+			Minsup: engine.RelativeMinsup(0.7, d.ClassCount(dataset.Label(cls))),
 		})
 		if err != nil {
 			return nil, err
 		}
 		for _, g := range res.Groups {
-			lbs := lowerbound.Find(d, g, lowerbound.Config{
-				NL: nl, MaxLen: 5, MaxCandidates: 1 << 18, ItemScore: scores,
-			})
+			lbs := lowerbound.Find(d, g, lowerbound.Config{NL: nl, ItemScore: scores})
 			for _, lb := range lbs {
 				for _, item := range lb.Antecedent {
 					freq[d.Items[item].Gene]++

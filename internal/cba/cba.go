@@ -13,6 +13,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/lowerbound"
 	"repro/internal/rules"
 )
@@ -20,8 +21,8 @@ import (
 // Config controls CBA training.
 type Config struct {
 	// MinsupFrac is the relative minimum support: the absolute threshold
-	// for class c is ceil(MinsupFrac * |rows of class c|). The paper
-	// uses 0.7.
+	// for class c is engine.RelativeMinsup(MinsupFrac, |rows of class
+	// c|). The paper uses 0.7.
 	MinsupFrac float64
 	// Minconf optionally filters candidate lower-bound rules (0 = none);
 	// the paper notes all top-1 groups pass 0.8 in its experiments.
@@ -29,9 +30,6 @@ type Config struct {
 	// NL is the number of shortest lower bounds searched per rule group
 	// (1 for classic CBA).
 	NL int
-	// LBMaxLen / LBMaxCandidates bound the FindLB search (0 = defaults).
-	LBMaxLen        int
-	LBMaxCandidates int
 }
 
 // DefaultConfig mirrors the paper's CBA setup.
@@ -63,16 +61,13 @@ func Train(d *dataset.Dataset, cfg Config) (*Classifier, error) {
 		if n == 0 {
 			continue
 		}
-		minsup := ceilFrac(cfg.MinsupFrac, n)
-		res, err := core.Mine(d, label, core.DefaultConfig(minsup, 1))
+		res, err := core.Mine(d, label, core.DefaultConfig(engine.RelativeMinsup(cfg.MinsupFrac, n), 1))
 		if err != nil {
 			return nil, fmt.Errorf("cba: mining class %s: %w", d.ClassNames[cls], err)
 		}
 		lbs := LowerBoundPool(d, res.Groups, lowerbound.Config{
-			NL:            cfg.NL,
-			MaxLen:        cfg.LBMaxLen,
-			MaxCandidates: cfg.LBMaxCandidates,
-			ItemScore:     itemScores,
+			NL:        cfg.NL,
+			ItemScore: itemScores,
 		})
 		for _, r := range lbs {
 			if r.Confidence >= cfg.Minconf {
@@ -83,18 +78,6 @@ func Train(d *dataset.Dataset, cfg Config) (*Classifier, error) {
 	rules.SortCBA(pool)
 	selected, def := SelectRules(d, pool)
 	return &Classifier{Rules: selected, Default: def, NumItems: d.NumItems()}, nil
-}
-
-// ceilFrac returns ceil(frac * n), at least 1.
-func ceilFrac(frac float64, n int) int {
-	v := int(frac * float64(n))
-	if float64(v) < frac*float64(n) {
-		v++
-	}
-	if v < 1 {
-		v = 1
-	}
-	return v
 }
 
 // LowerBoundPool finds up to nl shortest lower bounds for every group

@@ -94,6 +94,16 @@ type Options struct {
 	DisableDynamicMinsup   bool
 }
 
+// RelativeMinsup turns a relative minimum support frac of n rows into
+// the absolute count Options.Minsup takes: ⌈frac·n⌉, and at least 1.
+func RelativeMinsup(frac float64, n int) int {
+	v := int(frac * float64(n))
+	if float64(v) < frac*float64(n) {
+		v++
+	}
+	return max(v, 1)
+}
+
 // Result is the miner-independent output shape. Rule-group miners fill
 // Groups (and PerRow for top-k miners); closed-set miners fill Closed.
 type Result struct {

@@ -360,3 +360,22 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("Miners() not sorted: %v", names)
 	}
 }
+
+func TestRelativeMinsup(t *testing.T) {
+	cases := []struct {
+		frac float64
+		n    int
+		want int
+	}{
+		{0.7, 10, 7},
+		{0.7, 11, 8}, // 7.7 -> 8
+		{0.5, 3, 2},  // 1.5 -> 2
+		{1.0, 5, 5},
+		{0.1, 1, 1}, // floor 0 -> at least 1
+	}
+	for _, c := range cases {
+		if got := RelativeMinsup(c.frac, c.n); got != c.want {
+			t.Errorf("RelativeMinsup(%v, %d) = %d, want %d", c.frac, c.n, got, c.want)
+		}
+	}
+}

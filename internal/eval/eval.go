@@ -30,9 +30,6 @@ type Options struct {
 	BagRounds   int     // default 10
 	BoostRounds int     // default 10
 	Seed        int64
-	// LBMaxLen / LBMaxCandidates bound lower-bound searches.
-	LBMaxLen        int
-	LBMaxCandidates int
 	// Workers bounds RCBT training's goroutines: classes mined and
 	// FindLB searches run at once (0 or 1 = one at a time; accuracy is
 	// unaffected, only training wall time).
@@ -59,12 +56,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BoostRounds == 0 {
 		o.BoostRounds = 10
-	}
-	if o.LBMaxLen == 0 {
-		o.LBMaxLen = 5 // the paper observes lower bounds of 1-5 items
-	}
-	if o.LBMaxCandidates == 0 {
-		o.LBMaxCandidates = 1 << 18 // bounds FindLB work per rule group
 	}
 	return o
 }
@@ -152,7 +143,6 @@ func Evaluate(train, test *dataset.Matrix, opts Options) (*Result, error) {
 	if !skip(NameRCBT) {
 		c, err := rcbt.Train(dTrain, rcbt.Config{
 			K: opts.K, NL: opts.NL, MinsupFrac: opts.MinsupFrac,
-			LBMaxLen: opts.LBMaxLen, LBMaxCandidates: opts.LBMaxCandidates,
 			Workers: opts.Workers,
 		})
 		if err != nil {
@@ -170,7 +160,6 @@ func Evaluate(train, test *dataset.Matrix, opts Options) (*Result, error) {
 	if !skip(NameCBA) {
 		c, err := cba.Train(dTrain, cba.Config{
 			MinsupFrac: opts.MinsupFrac, NL: 1,
-			LBMaxLen: opts.LBMaxLen, LBMaxCandidates: opts.LBMaxCandidates,
 		})
 		if err != nil {
 			res.Errors[NameCBA] = err.Error()

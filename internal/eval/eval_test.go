@@ -11,7 +11,6 @@ import (
 func smallOpts() Options {
 	return Options{
 		K: 3, NL: 5, BagRounds: 3, BoostRounds: 3,
-		LBMaxLen: 4, LBMaxCandidates: 100000,
 	}
 }
 
@@ -87,7 +86,7 @@ func TestWithDefaults(t *testing.T) {
 	if o.MinsupFrac != 0.7 || o.K != 10 || o.NL != 20 || o.IRGMinconf != 0.8 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	if o.BagRounds != 10 || o.BoostRounds != 10 || o.LBMaxLen != 5 || o.LBMaxCandidates == 0 {
+	if o.BagRounds != 10 || o.BoostRounds != 10 {
 		t.Fatalf("defaults = %+v", o)
 	}
 	// Explicit values survive.

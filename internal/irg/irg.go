@@ -10,6 +10,7 @@ import (
 	"repro/internal/cba"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/rules"
 )
 
@@ -48,14 +49,7 @@ func Train(d *dataset.Dataset, cfg Config) (*Classifier, error) {
 		if n == 0 {
 			continue
 		}
-		minsup := int(cfg.MinsupFrac * float64(n))
-		if float64(minsup) < cfg.MinsupFrac*float64(n) {
-			minsup++
-		}
-		if minsup < 1 {
-			minsup = 1
-		}
-		res, err := core.Mine(d, label, core.DefaultConfig(minsup, cfg.K))
+		res, err := core.Mine(d, label, core.DefaultConfig(engine.RelativeMinsup(cfg.MinsupFrac, n), cfg.K))
 		if err != nil {
 			return nil, fmt.Errorf("irg: mining class %s: %w", d.ClassNames[cls], err)
 		}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -601,11 +600,7 @@ func resolveMinsup(spec Spec, d *dataset.Dataset, cls dataset.Label) int {
 	case "carpenter", "charm", "closet":
 		base = d.NumRows()
 	}
-	minsup := int(math.Ceil(frac * float64(base)))
-	if minsup < 1 {
-		minsup = 1
-	}
-	return minsup
+	return engine.RelativeMinsup(frac, base)
 }
 
 // runTrain trains an RCBT classifier and persists it as a versioned

@@ -26,16 +26,17 @@ import (
 	"repro/internal/rules"
 )
 
-// Config controls the search.
+// Config controls the search. The search has one behaviour for every
+// caller: it lists the group's lower bounds shortest first, with no cap
+// on their length, until it has NL of them or has examined its budget
+// of candidates.
 type Config struct {
 	// NL is the number of lower bounds to return (FindLB's nl).
 	NL int
-	// MaxLen caps candidate antecedent length; 0 means no cap. The
-	// paper observes real lower bounds have 1-5 items.
-	MaxLen int
 	// MaxCandidates bounds the number of candidates examined, so
-	// adversarial groups cannot blow up classifier construction;
-	// 0 means the default of 1<<20. The search stores only examined
+	// adversarial groups cannot blow up classifier construction; 0
+	// means 1<<18, the budget every trainer runs. Only tests set it, to
+	// stop a search part-way. The search stores only examined
 	// candidates, so it also bounds the search's memory.
 	MaxCandidates int
 	// ItemScore ranks items for the breadth-first order (higher =
@@ -103,7 +104,7 @@ func (s *search) find(d *dataset.Dataset, g *rules.Group, cfg Config, done <-cha
 	}
 	budget := cfg.MaxCandidates
 	if budget <= 0 {
-		budget = 1 << 20
+		budget = 1 << 18
 	}
 	// Degenerate group covering every row: the empty rule is its only
 	// lower bound.
@@ -126,10 +127,6 @@ func (s *search) find(d *dataset.Dataset, g *rules.Group, cfg Config, done <-cha
 	examined := 0
 	s.cur = level{n: 1, idx: s.cur.idx[:0], cover: grow(s.cur.cover, w)}
 	for size := 1; s.cur.n > 0; size++ {
-		if cfg.MaxLen > 0 && size > cfg.MaxLen {
-			break
-		}
-		keep := cfg.MaxLen <= 0 || size < cfg.MaxLen // children fit in MaxLen
 		s.next = level{idx: s.next.idx[:0], cover: s.next.cover[:0]}
 		for p := 0; p < s.cur.n; p++ {
 			pidx := s.cur.idx[p*(size-1) : (p+1)*(size-1)]
@@ -166,7 +163,7 @@ func (s *search) find(d *dataset.Dataset, g *rules.Group, cfg Config, done <-cha
 					}
 					continue
 				}
-				if !keep || j+1 == nc { // no children to expand
+				if j+1 == nc { // no children to expand
 					s.next.cover = s.next.cover[:at]
 					continue
 				}

@@ -155,19 +155,6 @@ func TestGroupCoveringAllRows(t *testing.T) {
 	}
 }
 
-func TestMaxLenCapsSearch(t *testing.T) {
-	d, idx := dataset.RunningExample()
-	// Group cde -> C (R = {r1, r3, r4}); its lower bounds are d (R(d) =
-	// {r1,r3,r4}) — single item.
-	g := groupFor(d, []int{idx["c"], idx["d"]}, 0)
-	lbs := Find(d, g, Config{NL: 5, MaxLen: 1})
-	for _, lb := range lbs {
-		if len(lb.Antecedent) > 1 {
-			t.Fatalf("MaxLen=1 produced %v", lb.Antecedent)
-		}
-	}
-}
-
 func TestQuickMatchesBruteForce(t *testing.T) {
 	// Find with a large NL must return exactly the set of minimal lower
 	// bounds (order may differ by ranking).
@@ -366,7 +353,7 @@ func referenceFind(d *dataset.Dataset, g *rules.Group, cfg Config) []*rules.Rule
 	}
 	budget := cfg.MaxCandidates
 	if budget <= 0 {
-		budget = 1 << 20
+		budget = 1 << 18
 	}
 
 	// Outside rows: rows not in the group's support set.
@@ -472,9 +459,6 @@ func referenceFind(d *dataset.Dataset, g *rules.Group, cfg Config) []*rules.Rule
 	examined := 0
 	size := 1
 	for len(level) > 0 && len(found) < cfg.NL {
-		if cfg.MaxLen > 0 && size > cfg.MaxLen {
-			break
-		}
 		var next []cand
 		for _, c := range level {
 			examined++

@@ -11,29 +11,37 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
+	"repro/internal/engine"
 	"repro/internal/rules"
 	"repro/internal/synth"
 )
 
 // Find must return exactly what referenceFind returns, rule for rule
-// and in order: the candidate order, the budget count and MaxLen decide
-// which lower bounds a trained classifier holds, so any drift changes
+// and in order: the candidate order and the budget count decide which
+// lower bounds a trained classifier holds, so any drift changes
 // models. The tests below compare the two on random tables, on every
 // rule group of a PC/3-shaped dataset and on fuzz input, and pin the
 // allocation and memory bounds that motivated the rewrite.
 
-// pcData is a PC/3-shaped dataset (102 rows × 4200 genes, the
-// train-wide benchmark shape, where FindLB dominates training), every
-// rule group RCBT training mines from it (k = 10, minsup = ⌈0.7 · class
-// size⌉) and its item scores.
+// pcData is a PC-shaped dataset, every rule group RCBT training mines
+// from it (k = 10, minsup = ⌈0.7 · class size⌉) and its item scores.
 type pcData struct {
 	d      *dataset.Dataset
 	groups []*rules.Group
 	scores []float64
 }
 
-var loadPC = sync.OnceValues(func() (*pcData, error) {
-	train, _, err := synth.Generate(synth.Scaled(synth.PC(), 3))
+// loadPC builds PC/3 (102 rows × 4200 genes, the train-wide benchmark
+// shape, where FindLB dominates training) and loadPC2 builds PC/2
+// (6300 genes), where 11 of 22 searches stop at the default budget.
+var (
+	loadPC  = sync.OnceValues(func() (*pcData, error) { return pcAt(3) })
+	loadPC2 = sync.OnceValues(func() (*pcData, error) { return pcAt(2) })
+)
+
+// pcAt builds the pcData of the PC profile scaled down by scale.
+func pcAt(scale int) (*pcData, error) {
+	train, _, err := synth.Generate(synth.Scaled(synth.PC(), scale))
 	if err != nil {
 		return nil, err
 	}
@@ -47,36 +55,60 @@ var loadPC = sync.OnceValues(func() (*pcData, error) {
 	}
 	pc := &pcData{d: d, scores: DefaultItemScores(d)}
 	for cls := 0; cls < d.NumClasses(); cls++ {
-		n := d.ClassCount(dataset.Label(cls))
-		minsup := int(0.7 * float64(n))
-		if float64(minsup) < 0.7*float64(n) {
-			minsup++
-		}
-		res, err := core.Mine(d, dataset.Label(cls), core.DefaultConfig(max(minsup, 1), 10))
+		minsup := engine.RelativeMinsup(0.7, d.ClassCount(dataset.Label(cls)))
+		res, err := core.Mine(d, dataset.Label(cls), core.DefaultConfig(minsup, 10))
 		if err != nil {
 			return nil, err
 		}
 		pc.groups = append(pc.groups, res.Groups...)
 	}
 	return pc, nil
-})
+}
 
 func pcGroups(t *testing.T) *pcData {
 	t.Helper()
-	pc, err := loadPC()
+	return mustLoad(t, loadPC, "PC/3")
+}
+
+func mustLoad(t *testing.T, load func() (*pcData, error), name string) *pcData {
+	t.Helper()
+	pc, err := load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pc.groups) == 0 {
-		t.Fatal("PC/3 yields no rule groups")
+		t.Fatalf("%s yields no rule groups", name)
 	}
 	return pc
 }
 
+// TestDefaultBudget pins the budget a zero Config runs, which every
+// trainer runs: on PC/2 it returns exactly what a budget of 2^18
+// returns, and a budget of 2^20 finds more lower bounds for some group,
+// so the budget decides what a trained model holds.
+func TestDefaultBudget(t *testing.T) {
+	pc := mustLoad(t, loadPC2, "PC/2")
+	cut := 0
+	for i, g := range pc.groups {
+		got := Find(pc.d, g, Config{NL: 20, ItemScore: pc.scores})
+		want := Find(pc.d, g, Config{NL: 20, MaxCandidates: 1 << 18, ItemScore: pc.scores})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("PC/2 group %d: the default budget finds %d rules, a budget of 2^18 %d", i, len(got), len(want))
+		}
+		// The 2^20 searches take seconds under -race.
+		if !raceEnabled && len(Find(pc.d, g, Config{NL: 20, MaxCandidates: 1 << 20, ItemScore: pc.scores})) > len(got) {
+			cut++
+		}
+	}
+	if !raceEnabled && cut == 0 {
+		t.Fatalf("no PC/2 group finds more lower bounds at a budget of 2^20 than at the default; the test no longer tells the budgets apart")
+	}
+}
+
 // costliest returns the PC/3 group whose NL=20 search examines the
 // most candidates: the one that finds the fewest lower bounds within
-// 10^5 candidates. It checks that this search examines more than 10^5,
-// because it finds more lower bounds without the budget.
+// 10^5 candidates. It checks that this search examines more than 10^5
+// at the default budget, because it finds more lower bounds there.
 func costliest(t *testing.T, pc *pcData) *rules.Group {
 	t.Helper()
 	cfg := Config{NL: 20, MaxCandidates: 1e5, ItemScore: pc.scores}
@@ -89,7 +121,7 @@ func costliest(t *testing.T, pc *pcData) *rules.Group {
 	}
 	cfg.MaxCandidates = 0
 	if full := len(Find(pc.d, best, cfg)); cut >= full {
-		t.Fatalf("costliest group finds %d lower bounds within 10^5 candidates and %d without a budget; no search examines 10^5 any more", cut, full)
+		t.Fatalf("costliest group finds %d lower bounds within 10^5 candidates and %d at the default budget; no search examines 10^5 any more", cut, full)
 	}
 	return best
 }
@@ -103,8 +135,8 @@ func checkOracle(t *testing.T, s *search, name string, d *dataset.Dataset, g *ru
 	want := referenceFind(d, g, cfg)
 	for _, got := range [][]*rules.Rule{Find(d, g, cfg), s.find(d, g, cfg, nil)} {
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s (NL=%d MaxLen=%d MaxCandidates=%d, |A|=%d, |R|=%d of %d rows): got %d rules, referenceFind %d\n got: %s\nwant: %s",
-				name, cfg.NL, cfg.MaxLen, cfg.MaxCandidates, len(g.Antecedent), g.Rows.Count(), d.NumRows(),
+			t.Fatalf("%s (NL=%d MaxCandidates=%d, |A|=%d, |R|=%d of %d rows): got %d rules, referenceFind %d\n got: %s\nwant: %s",
+				name, cfg.NL, cfg.MaxCandidates, len(g.Antecedent), g.Rows.Count(), d.NumRows(),
 				len(got), len(want), renderRules(got), renderRules(want))
 		}
 	}
@@ -149,7 +181,7 @@ func TestFindOracleMatchesReference(t *testing.T) {
 		d := denseTable(r, 4+r.Intn(37), 3+r.Intn(22), 0.5+0.45*r.Float64())
 		row := r.Intn(d.NumRows())
 		g := groupFor(d, d.Rows[row], d.Labels[row])
-		cfg := Config{NL: 1 + r.Intn(40), MaxLen: r.Intn(6)}
+		cfg := Config{NL: 1 + r.Intn(40)}
 		if r.Intn(4) == 0 {
 			cfg.NL = 1 << 20
 		}
@@ -162,12 +194,13 @@ func TestFindOracleMatchesReference(t *testing.T) {
 		checkOracle(t, &s, fmt.Sprintf("trial %d", trial), d, g, cfg)
 	}
 
-	// Every rule group of a PC/3-shaped dataset. The first config cuts
-	// most groups' searches mid-level. The unbudgeted reference takes
-	// seconds under -race, so RCBT's default, NL=20 with no budget, and a
-	// run to a budget of 2·10^4 join only without it.
+	// Every rule group of a PC/3-shaped dataset. The first two configs
+	// cut most groups' searches mid-level. The reference at the default
+	// budget takes seconds under -race, so RCBT's default, NL=20 at the
+	// default budget, and a run to a budget of 2·10^4 join only without
+	// it.
 	pc := pcGroups(t)
-	cfgs := []Config{{NL: 50, MaxCandidates: 5000}, {NL: 20, MaxLen: 3}}
+	cfgs := []Config{{NL: 50, MaxCandidates: 5000}, {NL: 20, MaxCandidates: 1000}}
 	if !raceEnabled {
 		cfgs = append(cfgs, Config{NL: 20}, Config{NL: 1 << 20, MaxCandidates: 20000})
 	}
@@ -180,8 +213,9 @@ func TestFindOracleMatchesReference(t *testing.T) {
 }
 
 // FuzzFind compares Find with referenceFind on a table, group and
-// config decoded from the fuzz input: an 8-byte header, then the table's
-// cells row by row, one bit each, cycling through the payload.
+// config decoded from the fuzz input: an 8-byte header (byte 3 unused),
+// then the table's cells row by row, one bit each, cycling through the
+// payload.
 func FuzzFind(f *testing.F) {
 	f.Add([]byte{20, 12, 5, 0, 0, 0, 0xa5, 3, 0xff, 0x7f, 0xbf, 0xdf, 0xef, 0xf7, 0xfb, 0xfd})
 	f.Add([]byte{30, 15, 19, 3, 8, 200, 0x3c, 17, 0xee, 0xdd, 0xbb, 0x77})
@@ -195,7 +229,6 @@ func FuzzFind(f *testing.F) {
 		rows, items := 2+int(data[0])%31, 1+int(data[1])%16
 		cfg := Config{
 			NL:            1 + int(data[2])%32,
-			MaxLen:        int(data[3]) % 6,
 			MaxCandidates: (int(data[4])<<8 | int(data[5])) % 5000,
 		}
 		if data[2] == 255 {

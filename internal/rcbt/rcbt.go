@@ -36,9 +36,6 @@ type Config struct {
 	// MinsupFrac is the per-class relative minimum support (paper: 0.7;
 	// 0 = 0.7).
 	MinsupFrac float64
-	// LBMaxLen / LBMaxCandidates bound the FindLB search (0 = defaults).
-	LBMaxLen        int
-	LBMaxCandidates int
 	// Workers bounds training's goroutines (0 or 1 = one at a time): it
 	// is how many classes are mined at once and how many FindLB
 	// searches run at once. Each class is an independent MineTopkRGS run
@@ -216,11 +213,9 @@ func TrainContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Classif
 		}
 		if len(missing) > 0 {
 			found, err := lowerbound.FindAllContext(ctx, d, missing, lowerbound.Config{
-				NL:            cfg.NL,
-				MaxLen:        cfg.LBMaxLen,
-				MaxCandidates: cfg.LBMaxCandidates,
-				ItemScore:     itemScores,
-				Workers:       max(cfg.Workers, 1),
+				NL:        cfg.NL,
+				ItemScore: itemScores,
+				Workers:   max(cfg.Workers, 1),
 			})
 			if err != nil {
 				return nil, err
@@ -312,11 +307,7 @@ func mineClasses(ctx context.Context, d *dataset.Dataset, cfg Config, classCount
 					return
 				}
 				cls := classes[i]
-				minsup := int(cfg.MinsupFrac * float64(classCount[cls]))
-				if float64(minsup) < cfg.MinsupFrac*float64(classCount[cls]) {
-					minsup++
-				}
-				mc := core.DefaultConfig(max(minsup, 1), cfg.K)
+				mc := core.DefaultConfig(engine.RelativeMinsup(cfg.MinsupFrac, classCount[cls]), cfg.K)
 				mc.MaxNodes = cfg.MaxNodes
 				mc.Progress = progress
 				mc.ProgressEvery = cfg.ProgressEvery
