@@ -37,8 +37,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Times the mining benchmarks (every benchmark whose name holds Mine),
-# five repeats each, with allocation counts that nothing checks. The
-# zero-allocation pin on the kernel's steady state is
+# five repeats each, with allocation counts that nothing checks.
+# BenchmarkMineTall/train is a whole train at Workers 2 on a cancelable
+# context, so it also times the two class searches' cancellation
+# checks. The zero-allocation pin on the kernel's steady state is
 # TestKernelSteadyStateAllocs, which go test runs outside -race.
 perf:
 	$(GO) test -run '^$$' -bench 'Mine' -benchmem -count=5 ./...

@@ -12,14 +12,14 @@
 //	BenchmarkDefaultClassStats / BenchmarkMinsupSweep — §6.2 analyses
 //	BenchmarkAblation* — design-choice ablations from DESIGN.md
 //	BenchmarkMineTall / BenchmarkMineWide — the mining kernel at RCBT's
-//	defaults on a tall (408 × 185 items) and a wide (210 × 3,309) shape
+//	defaults on a tall (408 × 185 items) and a wide (210 × 3,309) shape;
+//	BenchmarkMineTall/train trains the tall shape as a train job does
 package repro
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"testing"
 
 	"repro/internal/bench"
@@ -28,8 +28,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/farmer"
+	"repro/internal/rcbt"
 	"repro/internal/synth"
 )
 
@@ -122,7 +124,7 @@ func BenchmarkFig6MineTopkRGS(b *testing.B) {
 // rcbtMinsup is RCBT's default per-class minimum support: 70% of the
 // class, rounded up.
 func rcbtMinsup(d *dataset.Dataset, cls dataset.Label) int {
-	return max(int(math.Ceil(0.7*float64(d.ClassCount(cls)))), 1)
+	return engine.RelativeMinsup(0.7, d.ClassCount(cls))
 }
 
 // mineAtRCBTDefaults times sequential MineTopkRGS of one class at
@@ -139,6 +141,11 @@ func mineAtRCBTDefaults(b *testing.B, d *dataset.Dataset, cls dataset.Label) {
 
 // BenchmarkMineTall mines both classes of PC/30 with a 4× cohort (408
 // rows × 185 items), the shape where mining is most of a train job.
+// The class=N runs mine one class on a context that cannot be
+// cancelled. The train run is a whole rcbt.TrainContext at Workers 2 on
+// a cancelable context, the call a train job makes: both classes mine
+// at once and share that context, so it also times what the two
+// searches' cancellation checks cost each other.
 func BenchmarkMineTall(b *testing.B) {
 	p := synth.Scaled(synth.PC(), 30)
 	p.Name += "x4"
@@ -148,6 +155,16 @@ func BenchmarkMineTall(b *testing.B) {
 	for cls := dataset.Label(0); int(cls) < d.NumClasses(); cls++ {
 		b.Run(fmt.Sprintf("class=%d", cls), func(b *testing.B) { mineAtRCBTDefaults(b, d, cls) })
 	}
+	b.Run("train", func(b *testing.B) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rcbt.TrainContext(ctx, d, rcbt.Config{Workers: 2}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkMineWide mines class 1 of OC/5 (210 rows × 3,309 items), a

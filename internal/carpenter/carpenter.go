@@ -65,6 +65,10 @@ func (v *visitor) PruneAfterScan(_ engine.Threshold, xp, xn, mp, rn int) bool {
 	return xp+mp < v.minsup
 }
 
+// MonotoneChildren implements engine.MonotoneChildren: every row is
+// positive, so a child's support bound xp+rp falls along the loop.
+func (v *visitor) MonotoneChildren() bool { return true }
+
 func (v *visitor) OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos []int) {
 	if xp < v.minsup {
 		return

@@ -163,16 +163,7 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cls dataset.Label, cfg
 	}
 
 	// Step 4: per-positive-row top-k lists (reordered ids 0..numPos-1).
-	v := &topkVisitor{
-		cfg:       cfg,
-		cls:       cls,
-		numPos:    numPos,
-		effMinsup: cfg.Minsup,
-		lists:     make([]*rules.TopKList, numPos),
-	}
-	for p := 0; p < numPos; p++ {
-		v.lists[p] = rules.NewTopKList(cfg.K)
-	}
+	v := newTopkVisitor(cfg, cls, numPos)
 	if cfg.SeedInit {
 		v.seed(itemRows, freqItems, numPos)
 	}
@@ -307,6 +298,13 @@ type topkVisitor struct {
 	lists     []*rules.TopKList // per reordered positive row
 	effMinsup int               // dynamically raised when DynamicMinsup
 
+	// thConf and thSup hold lists[p].Threshold() for each positive row,
+	// refreshed by consider, the one place a list changes: the per-node
+	// threshold scans read two flat slices instead of each list's last
+	// group.
+	thConf []float64
+	thSup  []int
+
 	// provisional single-item seeds: group -> item id, resolved after
 	// mining into their true upper bounds.
 	provisional map[*rules.Group]int
@@ -317,6 +315,47 @@ type topkVisitor struct {
 
 	updateCalls int
 }
+
+// newTopkVisitor returns a visitor with an empty top-k list per
+// positive row.
+func newTopkVisitor(cfg Config, cls dataset.Label, numPos int) *topkVisitor {
+	v := &topkVisitor{
+		cfg:       cfg,
+		cls:       cls,
+		numPos:    numPos,
+		effMinsup: cfg.Minsup,
+		lists:     make([]*rules.TopKList, numPos),
+		thConf:    make([]float64, numPos),
+		thSup:     make([]int, numPos),
+	}
+	for p := range v.lists {
+		v.lists[p] = rules.NewTopKList(cfg.K)
+	}
+	return v
+}
+
+// consider offers g to row p's list and refreshes the row's threshold.
+func (v *topkVisitor) consider(p int, g *rules.Group) {
+	v.lists[p].Consider(g)
+	v.thConf[p], v.thSup[p] = v.lists[p].Threshold()
+}
+
+// admits reports whether a group with the given confidence and support
+// would enter row p's list (TopKList.Qualifies on the flat threshold).
+//
+//vet:allocfree
+func (v *topkVisitor) admits(p int, conf float64, sup int) bool {
+	return qualifies(engine.Threshold{Conf: v.thConf[p], Sup: v.thSup[p]}, conf, sup)
+}
+
+// MonotoneChildren implements engine.MonotoneChildren. Along a node's
+// Step-14 loop a child's support bound (xp plus the positives in
+// survivors[i:]) never rises and its negative count never falls, so
+// neither its support nor its confidence bound rises. The threshold is
+// the node's, effMinsup only rises, and qualifies is monotone in
+// (conf, sup), so once PruneBeforeScan prunes a child it prunes every
+// later one (TestPruneBeforeScanMonotoneAlongChildren).
+func (v *topkVisitor) MonotoneChildren() bool { return true }
 
 // seed installs single-item rule groups into the per-row lists,
 // deduplicated by support set so no two seeds of one row belong to the
@@ -352,7 +391,7 @@ func (v *topkVisitor) seed(itemRows []*bitset.Set, freqItems []int, numPos int) 
 			if p >= numPos {
 				return false
 			}
-			v.lists[p].Consider(g)
+			v.consider(p, g)
 			return true
 		})
 	}
@@ -401,7 +440,7 @@ func (v *topkVisitor) PruneOnEntry(x *bitset.Set, candPos []int, xp, xn, rn int)
 		return true
 	}
 	for _, p := range candPos {
-		if v.lists[p].Qualifies(ubConf, ubSup) {
+		if v.admits(p, ubConf, ubSup) {
 			return false
 		}
 	}
@@ -410,7 +449,7 @@ func (v *topkVisitor) PruneOnEntry(x *bitset.Set, candPos []int, xp, xn, rn int)
 		if p >= v.numPos {
 			return false
 		}
-		admitted = v.lists[p].Qualifies(ubConf, ubSup)
+		admitted = v.admits(p, ubConf, ubSup)
 		return !admitted
 	})
 	return !admitted
@@ -431,7 +470,7 @@ func (v *topkVisitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 	minS := math.MaxInt
 	scan := func(rs []int) {
 		for _, p := range rs {
-			c, s := v.lists[p].Threshold()
+			c, s := v.thConf[p], v.thSup[p]
 			if c < minC || (c == minC && s < minS) {
 				minC, minS = c, s
 			}
@@ -457,8 +496,7 @@ func (v *topkVisitor) UpdateThresholds(xPos, candPos []int) engine.Threshold {
 // goroutine itself, so the scan cannot race with list updates.
 func (v *topkVisitor) ProgressFloor() float64 {
 	minC := math.Inf(1)
-	for _, l := range v.lists {
-		c, _ := l.Threshold()
+	for _, c := range v.thConf {
 		if c < minC {
 			minC = c
 		}
@@ -472,19 +510,15 @@ func (v *topkVisitor) ProgressFloor() float64 {
 // maybeRaiseMinsup implements the second Section 4.1.1 optimization:
 // once every row's k-th group reaches 100% confidence, only groups with
 // support above the smallest k-th support can still qualify anywhere.
+// A list short of k groups has threshold (0, 0), so the confidence
+// check also stops at it.
 func (v *topkVisitor) maybeRaiseMinsup() {
 	minKthSup := math.MaxInt
-	for _, l := range v.lists {
-		if l.Len() < l.K() {
-			return
-		}
-		c, s := l.Threshold()
+	for p, c := range v.thConf {
 		if c < 1.0 {
 			return
 		}
-		if s < minKthSup {
-			minKthSup = s
-		}
+		minKthSup = min(minKthSup, v.thSup[p])
 	}
 	if minKthSup+1 > v.effMinsup {
 		v.effMinsup = minKthSup + 1
@@ -556,14 +590,13 @@ func (v *topkVisitor) OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos []
 func (v *topkVisitor) apply(items []int, rows *bitset.Set, conf float64, xp int, xPos []int) {
 	var g *rules.Group // built on first acceptance
 	for _, p := range xPos {
-		l := v.lists[p]
-		if !l.Qualifies(conf, xp) {
+		if !v.admits(p, conf, xp) {
 			continue
 		}
 		// Skip if this rule group is already present as a seed (same
 		// support set); resolveSeeds rewrites its antecedent later.
 		dup := false
-		for _, g0 := range l.Groups() {
+		for _, g0 := range v.lists[p].Groups() {
 			if rules.CompareConf(g0.Confidence, conf) == 0 && g0.Support == xp && g0.Rows != nil && g0.Rows.Equal(rows) {
 				dup = true
 				break
@@ -583,6 +616,6 @@ func (v *topkVisitor) apply(items []int, rows *bitset.Set, conf float64, xp int,
 				Rows:       rows.Clone(),
 			}
 		}
-		l.Consider(g)
+		v.consider(p, g)
 	}
 }

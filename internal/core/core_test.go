@@ -488,12 +488,11 @@ func TestMineContextDeadline(t *testing.T) {
 // random groups, so row thresholds differ, tie, and sit at the MinConf
 // floor.
 func entryVisitor(r *rand.Rand, numPos int, cfg Config) *topkVisitor {
-	v := &topkVisitor{cfg: cfg, numPos: numPos, effMinsup: cfg.Minsup, lists: make([]*rules.TopKList, numPos)}
+	v := newTopkVisitor(cfg, 0, numPos)
 	for p := range v.lists {
-		v.lists[p] = rules.NewTopKList(cfg.K)
 		for n := r.Intn(cfg.K + 2); n > 0; n-- {
 			sup := 1 + r.Intn(6)
-			v.lists[p].Consider(&rules.Group{Support: sup, Confidence: float64(sup) / float64(sup+r.Intn(3))})
+			v.consider(p, &rules.Group{Support: sup, Confidence: float64(sup) / float64(sup+r.Intn(3))})
 		}
 	}
 	return v
@@ -543,15 +542,88 @@ func TestPruneOnEntryOracle(t *testing.T) {
 	}
 }
 
+// TestPruneBeforeScanMonotoneAlongChildren pins the property the
+// kernel's early stop rests on (topkVisitor.MonotoneChildren): walking
+// a node's ascending survivors as visitNode's Step-14 loop does, against
+// the node's threshold, once PruneBeforeScan prunes a child it prunes
+// every later one, also when effMinsup rises between children. Random
+// list states, minimum supports, MinConf floors of 0, 0.5 and 0.8, and
+// top-k pruning on and off.
+func TestPruneBeforeScanMonotoneAlongChildren(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	const numPos, numRows = 12, 20
+	cut := 0 // walks that pruned a child with later children left
+	for iter := 0; iter < 20000; iter++ {
+		cfg := DefaultConfig(1+r.Intn(4), 1+r.Intn(3))
+		cfg.MinConf = []float64{0, 0.5, 0.8}[r.Intn(3)]
+		cfg.TopKPruning = r.Intn(4) != 0
+		v := entryVisitor(r, numPos, cfg)
+		if !v.MonotoneChildren() {
+			t.Fatal("topkVisitor must opt in to the early stop")
+		}
+		v.effMinsup += r.Intn(3)
+
+		// The node: the positive rows of its closed set, its negative
+		// count, and the candidates that survived its projection.
+		var xPos, survivors []int
+		xn := 0
+		for row := 0; row < numRows; row++ {
+			switch {
+			case r.Intn(3) == 0 && row < numPos:
+				xPos = append(xPos, row)
+			case r.Intn(4) == 0 && row >= numPos:
+				xn++
+			case r.Intn(2) == 0:
+				survivors = append(survivors, row)
+			}
+		}
+		xp, mp := len(xPos), 0
+		for mp < len(survivors) && survivors[mp] < numPos {
+			mp++
+		}
+		th := v.UpdateThresholds(xPos, survivors[:mp])
+
+		first := -1
+		posLeft := mp
+		for i, row := range survivors {
+			childXp, childXn := xp, xn
+			if row < numPos {
+				posLeft--
+				childXp++
+			} else {
+				childXn++
+			}
+			negLeft := len(survivors) - i - 1 - posLeft
+			pruned := v.PruneBeforeScan(th, childXp, childXn, posLeft, negLeft)
+			if first >= 0 && !pruned {
+				t.Fatalf("iter %d (cfg %+v, th %+v, xp %d, xn %d, survivors %v): child %d pruned, child %d kept",
+					iter, cfg, th, xp, xn, survivors, first, i)
+			}
+			if pruned && first < 0 {
+				first = i
+			}
+			if r.Intn(4) == 0 {
+				v.effMinsup++ // a kept child's subtree raised it
+			}
+		}
+		if first >= 0 && first < len(survivors)-1 {
+			cut++
+		}
+	}
+	if cut < 1000 {
+		t.Fatalf("only %d of 20000 walks pruned a child before the last", cut)
+	}
+	t.Logf("%d of 20000 walks pruned a child before the last", cut)
+}
+
 // TestPruneOnEntryAllocFree pins the topk entry hook at zero
 // allocations, both when the scan runs through every candidate and
 // every positive row of X, and when a row of X admits the bound.
 func TestPruneOnEntryAllocFree(t *testing.T) {
-	v := &topkVisitor{cfg: DefaultConfig(1, 1), numPos: 8, effMinsup: 1, lists: make([]*rules.TopKList, 8)}
+	v := newTopkVisitor(DefaultConfig(1, 1), 0, 8)
 	for p := range v.lists {
-		v.lists[p] = rules.NewTopKList(1)
 		if p != 5 { // row 5's empty list admits every bound
-			v.lists[p].Consider(&rules.Group{Support: 9, Confidence: 1})
+			v.consider(p, &rules.Group{Support: 9, Confidence: 1})
 		}
 	}
 	candPos := []int{6, 7}

@@ -18,8 +18,16 @@ var ErrNodeBudget = errors.New("engine: node budget exhausted")
 // It is safe for concurrent use: the node counter is atomic, so Nodes
 // and Remaining may be read while the search charges, and cancelling
 // the context stops the search at its next node entry.
+//
+// Charge polls the context's Done channel, cached at Reset, instead of
+// calling ctx.Err() at every node: a cancelable context's Err takes the
+// context's mutex, so searches on several goroutines sharing one
+// context (the class workers of a train job) would contend for that
+// lock at every node. A non-blocking receive on an open channel takes
+// no lock, and Err is read only once the channel is closed.
 type Budget struct {
 	ctx      context.Context
+	done     <-chan struct{} // ctx.Done(); nil when ctx can never be cancelled
 	maxNodes int64
 	nodes    atomic.Int64
 }
@@ -40,6 +48,7 @@ func (b *Budget) Reset(ctx context.Context, maxNodes int) {
 		ctx = context.Background() //vet:ignore ctxflow defensive default for a nil ctx; callers on the cancellation path always pass one
 	}
 	b.ctx = ctx
+	b.done = ctx.Done()
 	b.maxNodes = int64(maxNodes)
 	b.nodes.Store(0)
 }
@@ -51,8 +60,10 @@ func (b *Budget) Reset(ctx context.Context, maxNodes int) {
 //
 //vet:allocfree
 func (b *Budget) Charge(n int) error {
-	if err := b.ctx.Err(); err != nil {
-		return err
+	select {
+	case <-b.done:
+		return b.ctx.Err()
+	default:
 	}
 	v := b.nodes.Add(int64(n))
 	if b.maxNodes > 0 && v > b.maxNodes {

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/dataset"
@@ -330,6 +333,126 @@ func TestBudgetChargePrefersContextError(t *testing.T) {
 	}
 	if b.Nodes() != 3 {
 		t.Fatalf("Nodes() = %d, want 3", b.Nodes())
+	}
+}
+
+// TestBudgetChargeCancelAndDeadline pins what Charge reads from its
+// context's Done channel: nil while the context is live, then
+// context.Canceled after a cancel, and context.DeadlineExceeded once a
+// deadline passes. Reset rearms the budget on a new context.
+func TestBudgetChargeCancelAndDeadline(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	b := NewBudget(ctx, 0)
+	if err := b.Charge(1); err != nil {
+		t.Fatalf("live context: %v", err)
+	}
+	cancel()
+	for i := 0; i < 3; i++ {
+		if err := b.Charge(1); !errors.Is(err, context.Canceled) {
+			t.Fatalf("charge %d after cancel: err = %v, want context.Canceled", i, err)
+		}
+	}
+	b.Reset(context.Background(), 0)
+	if err := b.Charge(1); err != nil {
+		t.Fatalf("after Reset on a live context: %v", err)
+	}
+
+	far, cancelFar := context.WithTimeout(context.Background(), time.Hour)
+	defer cancelFar()
+	b.Reset(far, 0)
+	if err := b.Charge(1); err != nil {
+		t.Fatalf("before the deadline: %v", err)
+	}
+	near, cancelNear := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancelNear()
+	b.Reset(near, 0)
+	<-near.Done()
+	if err := b.Charge(1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("past the deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestBudgetChargeNilContextNeverCancels checks that a nil context and
+// context.Background, whose Done channels are nil, never stop a charge.
+func TestBudgetChargeNilContextNeverCancels(t *testing.T) {
+	for _, ctx := range []context.Context{nil, context.Background()} {
+		b := NewBudget(ctx, 0)
+		for i := 0; i < 1000; i++ {
+			if err := b.Charge(1); err != nil {
+				t.Fatalf("ctx %v, charge %d: %v", ctx, i, err)
+			}
+		}
+		if b.Nodes() != 1000 || b.Remaining() != -1 {
+			t.Fatalf("ctx %v: Nodes %d, Remaining %d; want 1000, -1", ctx, b.Nodes(), b.Remaining())
+		}
+	}
+}
+
+// stepVisitor calls at on its after-th PruneOnEntry call, so a test
+// can line two searches up mid-run.
+type stepVisitor struct {
+	collector
+	after int
+	calls int
+	at    func()
+}
+
+func (v *stepVisitor) PruneOnEntry(x *bitset.Set, candPos []int, xp, xn, rn int) bool {
+	v.calls++
+	if v.calls == v.after {
+		v.at()
+	}
+	return false
+}
+
+// TestCancelSharedContextStopsBothEnumerators runs two enumerators on
+// two goroutines over one cancelable context, as a train job mines its
+// classes. Both searches meet at their 40th node: one cancels the
+// context there while the other waits for the cancel. Both must return
+// context.Canceled at their next node entry.
+func TestCancelSharedContextStopsBothEnumerators(t *testing.T) {
+	const after = 40
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var timedOut atomic.Bool
+	wait := func(ch <-chan struct{}) {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			timedOut.Store(true)
+		}
+	}
+	reached := make(chan struct{})
+	visitors := []Visitor{
+		&stepVisitor{after: after, at: func() { wait(reached); cancel() }},
+		&stepVisitor{after: after, at: func() { close(reached); wait(ctx.Done()) }},
+	}
+	var (
+		wg    sync.WaitGroup
+		stats [2]Stats
+		errs  [2]error
+	)
+	for i, v := range visitors {
+		eng, items := synthEnumerator(v, 60, 30, 30)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[i], errs[i] = eng.Run(ctx, items)
+		}()
+	}
+	wg.Wait()
+	if timedOut.Load() {
+		t.Fatal("the two searches never met at node 40")
+	}
+	for i, name := range []string{"cancelling search", "waiting search"} {
+		if !errors.Is(errs[i], context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, errs[i])
+		}
+		// Each hook ran at node 40; node 41 is counted, then its
+		// budget check stops the search.
+		if stats[i].Nodes != after+1 || stats[i].Aborted {
+			t.Errorf("%s: stats %+v, want %d nodes and no budget abort", name, stats[i], after+1)
+		}
 	}
 }
 

@@ -62,6 +62,20 @@ type Visitor interface {
 	OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos []int)
 }
 
+// MonotoneChildren is implemented by visitors whose Step-9 check is
+// monotone along a node's Step-14 loop: with the node's threshold
+// fixed and any state the visitor reads only tightening, once
+// PruneBeforeScan prunes the child of survivors[i] it prunes the child
+// of every later survivor. Survivors ascend with the positives first,
+// so each later child's candidates are a subset of the one before. When
+// MonotoneChildren returns true, Run ends the loop at the first pruned
+// child and counts every child left as pruned before scan, so Stats
+// read exactly as if each had been checked. A visitor whose bound is
+// not monotone this way (FARMER's chi-square) must not return true.
+type MonotoneChildren interface {
+	MonotoneChildren() bool
+}
+
 // Enumerator runs the row enumeration on the calling goroutine.
 // Configure the fields, then call Run. A single Enumerator is not safe
 // for concurrent Run calls. Repeated Run calls reuse the enumerator's
@@ -93,6 +107,8 @@ type Enumerator struct {
 	budget *Budget
 	stats  Stats
 	prog   *progressSampler
+	// stopAtPrune is the visitor's MonotoneChildren answer for this run.
+	stopAtPrune bool
 
 	// scratch is the run's arena; rowItems is the transposed item index
 	// (row id -> items whose support contains the row), built once per
@@ -101,11 +117,13 @@ type Enumerator struct {
 	rowItems []*bitset.Set
 }
 
-// task is one enumeration node: the pending row set x (not yet closed),
-// the alive items, the candidate rows (all ids >= minNext, ascending),
-// the number of positive rows at the head of cand, and the depth.
+// task is one enumeration node: the pending row set x (not yet closed)
+// and its class split xp/xn, the alive items, the candidate rows (all
+// ids >= minNext, ascending), the number of positive rows at the head
+// of cand, and the depth.
 type task struct {
 	x       *bitset.Set
+	xp, xn  int
 	items   []int
 	cand    []int
 	numPos  int
@@ -120,9 +138,11 @@ var kernel = (*Enumerator).visitNode
 
 // Run enumerates starting from the given alive item list (the frequent
 // items, ascending) and returns work statistics. The context is checked
-// at every node entry: cancellation and deadline expiry return ctx.Err()
-// promptly; a MaxNodes abort is reported via Stats.Aborted with a nil
-// error (partial results in the visitor remain valid).
+// at every node entry, through the Budget's lock-free poll of its Done
+// channel: cancellation and deadline expiry return ctx.Err() within one
+// node; a MaxNodes abort is reported via Stats.Aborted with a nil error
+// (partial results in the visitor remain valid). Run asks the visitor
+// once for the optional MonotoneChildren and FloorReporter methods.
 func (e *Enumerator) Run(ctx context.Context, items []int) (Stats, error) {
 	e.stats = Stats{}
 	if len(items) == 0 || e.NumRows == 0 {
@@ -132,6 +152,8 @@ func (e *Enumerator) Run(ctx context.Context, items []int) (Stats, error) {
 		e.budget = &Budget{}
 	}
 	e.budget.Reset(ctx, e.MaxNodes)
+	mc, _ := e.Visitor.(MonotoneChildren)
+	e.stopAtPrune = mc != nil && mc.MonotoneChildren()
 	if e.Progress != nil {
 		if e.prog == nil {
 			e.prog = &progressSampler{}
@@ -213,9 +235,7 @@ func (e *Enumerator) visitNode(t task) error {
 		e.prog.tick(e.stats.MaxDepth)
 	}
 	lv := e.scratch.level(t.depth)
-
-	xp := t.x.CountBelow(e.NumPos)
-	xn := t.x.Count() - xp
+	xp, xn := t.xp, t.xn
 
 	// Steps 8-9: loose bounds from the inherited candidate counts,
 	// against the threshold over every row this subtree can cover. No
@@ -319,7 +339,9 @@ func (e *Enumerator) visitNode(t task) error {
 	// contribute are skipped without paying a recursive call. The
 	// child's X is written into the next level's arena slot, where it
 	// stays stable for the whole child subtree; posLeft, the positive
-	// rows left in survivors[i+1:], becomes its candidate split.
+	// rows left in survivors[i+1:], becomes its candidate split. For a
+	// MonotoneChildren visitor the first pruned child ends the loop: every
+	// later child would be pruned too, and is counted as such.
 	childLv := e.scratch.level(t.depth + 1)
 	childX := childLv.xSet()
 	childMask := lv.childMaskSet()
@@ -334,6 +356,10 @@ func (e *Enumerator) visitNode(t task) error {
 		}
 		negLeft := len(survivors) - i - 1 - posLeft
 		if e.Visitor.PruneBeforeScan(th, childXp, childXn, posLeft, negLeft) {
+			if e.stopAtPrune {
+				e.stats.PrunedBeforeScan += len(survivors) - i
+				break
+			}
 			e.stats.PrunedBeforeScan++
 			continue
 		}
@@ -345,7 +371,8 @@ func (e *Enumerator) visitNode(t task) error {
 		childX.CopyFrom(closed)
 		childX.Add(r)
 		if err := e.visitNode(task{
-			x: childX, items: childItems, cand: survivors[i+1:], numPos: posLeft, minNext: r + 1, depth: t.depth + 1,
+			x: childX, xp: childXp, xn: childXn, items: childItems,
+			cand: survivors[i+1:], numPos: posLeft, minNext: r + 1, depth: t.depth + 1,
 		}); err != nil {
 			return err
 		}
