@@ -239,7 +239,7 @@ func TestRcbtservedSmoke(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill() // vetsuite:allow uncheckederr -- best-effort cleanup
+	defer cmd.Process.Kill() // best-effort cleanup
 
 	// The server prints its bound address as the first stdout line.
 	var base string
@@ -262,8 +262,8 @@ func TestRcbtservedSmoke(t *testing.T) {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body) // vetsuite:allow uncheckederr -- test helper
-		resp.Body.Close()       // vetsuite:allow uncheckederr -- test helper
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
 		return resp.StatusCode, buf.String()
 	}
 
@@ -280,7 +280,7 @@ func TestRcbtservedSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := dataset.ReadMatrix(f)
-	f.Close() // vetsuite:allow uncheckederr -- test helper
+	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestRcbtservedSmoke(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&classifyResp); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close() // vetsuite:allow uncheckederr -- test helper
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || classifyResp.Class == "" {
 		t.Fatalf("classify: %d %+v", resp.StatusCode, classifyResp)
 	}
@@ -344,7 +344,7 @@ func TestRcbtservedJobsShutdown(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill() // vetsuite:allow uncheckederr -- best-effort cleanup
+	defer cmd.Process.Kill() // best-effort cleanup
 
 	var base string
 	sc := bufio.NewScanner(stdout)
@@ -393,7 +393,7 @@ func TestRcbtservedJobsShutdown(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close() // vetsuite:allow uncheckederr -- test helper
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted || rec.ID == "" {
 		t.Fatalf("submit: %d %+v", resp.StatusCode, rec)
 	}
@@ -410,7 +410,7 @@ func TestRcbtservedJobsShutdown(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&cur); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close() // vetsuite:allow uncheckederr -- test helper
+		resp.Body.Close()
 		if cur.State == "running" {
 			break
 		}

@@ -1,21 +1,17 @@
 // Command vetsuite runs the repo-specific static-analysis suite
-// (internal/analysis) over the module: convention checks (bitset
+// (internal/analysis) over the whole module: convention checks (bitset
 // clone-before-mutate discipline, rules.CompareConf float-comparison
-// policy, panic and unchecked-error hygiene, concurrency preparation)
-// plus the contract-verification layer (vet:allocfree zero-escape
-// proofs, engine.Visitor arena-aliasing, context threading, %w error
-// wrapping and errors.Is sentinel matching, atomic-access consistency).
+// policy, panic and unchecked-error hygiene) plus the contract checks
+// (vet:allocfree zero-escape proofs, context threading, %w error
+// wrapping and errors.Is sentinel matching).
 //
 // Usage:
 //
-//	vetsuite [-json] [-list] [-enable a,b] [-disable a,b] [-pkg patterns] [-C dir] [patterns]
+//	vetsuite [-json] [-list]
 //
-// Patterns (positional or via -pkg) select which packages report
-// findings — ./... (default), ./dir/... for a subtree, ./dir or an
-// import path for one package; the whole module is always loaded so
-// cross-package facts stay complete, and a pattern matching nothing is
-// an error. -list prints the analyzers; -json emits the
-// vetsuite-findings/2 report CI archives and diffs against the
+// Run it anywhere inside the module; it always loads and analyzes every
+// package with every analyzer. -list prints the analyzers; -json emits
+// the vetsuite-findings/2 report CI archives and diffs against the
 // checked-in baseline.
 //
 // Exit status is 0 when clean, 1 when findings were reported, 2 when

@@ -100,10 +100,8 @@ func onPanicPath(pass *Pass, decl *ast.FuncDecl, pos token.Pos) bool {
 				return true
 			}
 		}
-		if fn := calleeFunc(pass.Pkg.Info, call); fn != nil {
-			if site, ok := pass.Facts.FuncSite(fn); ok && guardPanicOnly(site.Decl) {
-				return true
-			}
+		if fn := calleeFunc(pass.Pkg.Info, call); fn != nil && guardPanicOnly(pass.Facts.FuncDecl(fn)) {
+			return true
 		}
 	}
 	return false

@@ -1,8 +1,10 @@
 // Package analysis implements vetsuite, the repo-specific static
 // analysis suite for the TopkRGS miner. It is built on the standard
 // library alone (go/ast, go/parser, go/types, go/importer): a small
-// loader type-checks every package in the module and a set of analyzers
-// enforce the code conventions the compiler cannot see:
+// loader type-checks every package in the module and seven analyzers
+// enforce what neither the compiler, go vet nor the test suite catches.
+//
+// Code conventions:
 //
 //   - bitsetalias: in-place bitset mutation is only allowed on sets the
 //     mutating code owns; sets obtained from another package's accessor
@@ -12,26 +14,17 @@
 //     rules.CompareConf.
 //   - panichygiene: panics are reserved for precondition checks in
 //     internal/bitset; everywhere else they must be annotated.
-//   - deprecatedapi: declarations carrying a "Deprecated:" doc
-//     paragraph must not be used from outside their defining package,
-//     so compatibility shims can be deleted on schedule.
 //   - uncheckederr: cmd/, internal/bench, internal/report,
 //     internal/serve, internal/jobs, internal/datastore and
 //     internal/atomicfile must not drop error returns on the floor.
-//   - syncguard: preparation for the parallel miner — no by-value
-//     copies of lock-carrying types, no goroutine capture of shared
-//     mutable bitsets.
 //
-// A second generation of analyzers verifies the contracts the engine,
-// jobs and serve layers state in prose (DESIGN.md §7):
+// Contracts the engine, jobs and serve layers state in prose
+// (DESIGN.md §7):
 //
 //   - allocfree: functions annotated "vet:allocfree" must compile with
 //     zero heap escapes, proven by the compiler's own -gcflags=-m
 //     diagnostics (panic preconditions are exempt — they never run on
 //     the steady-state path).
-//   - visitoralias: engine.Visitor implementations must not retain a
-//     parameter-derived *bitset.Set or slice past the callback — every
-//     store, send or capture needs an intervening Clone()/copy.
 //   - ctxflow: context.Context is the first parameter, is forwarded
 //     rather than re-minted, and context.Background()/TODO() stay out
 //     of non-main packages.
@@ -39,17 +32,13 @@
 //     %v/%s) and sentinel errors are matched with errors.Is, never ==,
 //     keeping jobs.Record.Cause() matchable across a journal round-trip.
 //
-// Findings can be suppressed line-by-line with a trailing or preceding
-// comment in either of two forms:
+// A finding is suppressed by a comment on its line or on the line
+// above, in one form:
 //
-//	// vetsuite:allow <analyzer> [-- reason]
-//	//vet:ignore <analyzer> <reason>
+//	// vetsuite:allow <analyzer> -- <reason>
 //
-// The vet:ignore form requires the reason; a reasonless marker
-// suppresses nothing and is itself reported as a finding. Producer
-// functions that always return a freshly allocated *bitset.Set can be
-// documented with a "vetsuite:fresh" marker in their doc comment, which
-// the bitsetalias analyzer honors across packages.
+// The reason is mandatory: a marker without one suppresses nothing and
+// is itself reported as a "vetignore" finding.
 package analysis
 
 import (
@@ -62,21 +51,25 @@ import (
 
 // Diagnostic is one finding reported by an analyzer.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
+	Analyzer string `json:"analyzer"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Message  string `json:"message"`
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 }
 
+// newDiagnostic builds a finding at a resolved position.
+func newDiagnostic(analyzer string, pos token.Position, msg string) Diagnostic {
+	return Diagnostic{Analyzer: analyzer, File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg}
+}
+
 // Analyzer is one named check run over a type-checked package. Alias,
 // when set, is an additional short name accepted in vetsuite:allow
-// annotations (e.g. "panic" for panichygiene).
+// markers (e.g. "panic" for panichygiene).
 type Analyzer struct {
 	Name  string
 	Alias string
@@ -105,88 +98,53 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	if p.allow.allows(position, p.Analyzer.Name) || (p.Analyzer.Alias != "" && p.allow.allows(position, p.Analyzer.Alias)) {
 		return
 	}
-	p.collect(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.collect(newDiagnostic(p.Analyzer.Name, position, fmt.Sprintf(format, args...)))
 }
 
-// allowIndex maps "file:line" to the set of analyzer names allowed
-// there. A comment suppresses findings both on its own line and on the
-// following line, so annotations can sit above long statements.
-type allowIndex map[string]map[string]bool
+// allowKey names one analyzer allowed on one line of one file.
+type allowKey struct {
+	file     string
+	line     int
+	analyzer string
+}
+
+// allowIndex holds every (file, line, analyzer) a marker allows.
+type allowIndex map[allowKey]bool
 
 func (a allowIndex) allows(pos token.Position, analyzer string) bool {
-	set := a[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)]
-	return set[analyzer] || set["all"]
+	return a[allowKey{pos.Filename, pos.Line, analyzer}]
 }
 
 // buildAllowIndex scans every comment in the package for suppression
-// markers. Two syntaxes are honored:
+// markers, comments that begin
 //
-//	// vetsuite:allow <analyzer> [-- reason]
-//	//vet:ignore <analyzer> <reason>
+//	// vetsuite:allow <analyzer> -- <reason>
 //
-// Both suppress findings on their own line and on the following line.
-// The vet:ignore form makes the reason mandatory: a marker missing the
+// A marker suppresses findings on its own line and on the following
+// line, so it can sit above a long statement. A marker missing the
 // analyzer name or the reason suppresses nothing and is returned as a
 // malformed-suppression diagnostic, so a suppression can never shed its
 // justification silently.
 func buildAllowIndex(fset *token.FileSet, files []*ast.File) (allowIndex, []Diagnostic) {
 	idx := allowIndex{}
 	var malformed []Diagnostic
-	add := func(file string, line int, name string) {
-		key := fmt.Sprintf("%s:%d", file, line)
-		if idx[key] == nil {
-			idx[key] = map[string]bool{}
-		}
-		idx[key][name] = true
-	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := c.Text
-				if i := strings.Index(text, "vet:ignore"); i >= 0 && !strings.Contains(text, "vetsuite:allow") {
-					rest := strings.TrimSpace(text[i+len("vet:ignore"):])
-					name, reason := rest, ""
-					if j := strings.IndexAny(rest, " \t"); j >= 0 {
-						name, reason = rest[:j], strings.TrimSpace(rest[j+1:])
-					}
-					pos := fset.Position(c.Pos())
-					if name == "" || reason == "" {
-						malformed = append(malformed, Diagnostic{
-							Analyzer: "vetignore",
-							Pos:      pos,
-							File:     pos.Filename,
-							Line:     pos.Line,
-							Col:      pos.Column,
-							Message:  "vet:ignore requires an analyzer name and a reason: //vet:ignore <analyzer> <reason>",
-						})
-						continue
-					}
-					add(pos.Filename, pos.Line, name)
-					add(pos.Filename, pos.Line+1, name)
-					continue
-				}
-				i := strings.Index(text, "vetsuite:allow")
-				if i < 0 {
-					continue
-				}
-				rest := strings.TrimSpace(text[i+len("vetsuite:allow"):])
-				name := rest
-				if j := strings.IndexAny(rest, " \t"); j >= 0 {
-					name = rest[:j]
-				}
-				if name == "" {
+				rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "vetsuite:allow")
+				if !ok {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				add(pos.Filename, pos.Line, name)
-				add(pos.Filename, pos.Line+1, name)
+				name, reason, _ := strings.Cut(rest, "--")
+				name, reason = strings.TrimSpace(name), strings.TrimSpace(reason)
+				if name == "" || strings.ContainsAny(name, " \t") || reason == "" {
+					malformed = append(malformed, newDiagnostic("vetignore", pos,
+						"vetsuite:allow requires an analyzer name and a reason: // vetsuite:allow <analyzer> -- <reason>"))
+					continue
+				}
+				idx[allowKey{pos.Filename, pos.Line, name}] = true
+				idx[allowKey{pos.Filename, pos.Line + 1, name}] = true
 			}
 		}
 	}
@@ -202,26 +160,13 @@ type Suite struct {
 func DefaultSuite() *Suite {
 	return &Suite{Analyzers: []*Analyzer{
 		BitsetAliasAnalyzer,
-		DeprecatedAPIAnalyzer,
 		FloatCmpAnalyzer,
 		PanicHygieneAnalyzer,
 		UncheckedErrAnalyzer,
-		SyncGuardAnalyzer,
 		AllocFreeAnalyzer,
-		VisitorAliasAnalyzer,
 		CtxFlowAnalyzer,
 		SentinelWrapAnalyzer,
 	}}
-}
-
-// Lookup returns the analyzer with the given name, or nil.
-func (s *Suite) Lookup(name string) *Analyzer {
-	for _, a := range s.Analyzers {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // Run applies every analyzer to every package and returns the findings

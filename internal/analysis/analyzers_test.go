@@ -26,16 +26,6 @@ func TestUncheckedErrFixture(t *testing.T) {
 		"repro/cmd/vetsuite-fixture-uncheckederr")
 }
 
-func TestSyncGuardFixture(t *testing.T) {
-	runFixture(t, SyncGuardAnalyzer, "syncguard",
-		"repro/internal/analysis/testdata/src/syncguard")
-}
-
-func TestDeprecatedAPIFixture(t *testing.T) {
-	runFixture(t, DeprecatedAPIAnalyzer, "deprecatedapi",
-		"repro/internal/analysis/testdata/src/deprecatedapi")
-}
-
 func TestCtxFlowFixture(t *testing.T) {
 	runFixture(t, CtxFlowAnalyzer, "ctxflow",
 		"repro/internal/analysis/testdata/src/ctxflow")
@@ -51,11 +41,6 @@ func TestCtxFlowMainExemption(t *testing.T) {
 func TestSentinelWrapFixture(t *testing.T) {
 	runFixture(t, SentinelWrapAnalyzer, "sentinelwrap",
 		"repro/internal/analysis/testdata/src/sentinelwrap")
-}
-
-func TestVisitorAliasFixture(t *testing.T) {
-	runFixture(t, VisitorAliasAnalyzer, "visitoralias",
-		"repro/internal/analysis/testdata/src/visitoralias")
 }
 
 // TestAllocFreeFixture drives the analyzer with the compiler's real

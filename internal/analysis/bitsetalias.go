@@ -14,9 +14,9 @@ import (
 // A mutator call is flagged when its receiver is "borrowed":
 //
 //   - the direct result of a call into another package that is not a
-//     documented fresh producer (vetsuite:fresh or a bitset
-//     constructor), e.g. ds.ItemRows(i).IntersectWith(...) — the
-//     dataset's inverted index would be corrupted in place;
+//     bitset constructor or pure-algebra function, e.g.
+//     ds.ItemRows(i).IntersectWith(...) — the dataset's inverted index
+//     would be corrupted in place;
 //   - a field of a struct other than the enclosing method's receiver
 //     (mutating your own fields is ownership, mutating someone else's
 //     is aliasing);
@@ -138,13 +138,6 @@ func checkFuncBitsetAlias(pass *Pass, fd *ast.FuncDecl) {
 		origins[obj] = origin
 	}
 
-	describe := func(origin setOrigin) string {
-		if origin == originBorrowed {
-			return "a bitset borrowed from another package or struct"
-		}
-		return "a shared bitset"
-	}
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -168,10 +161,10 @@ func checkFuncBitsetAlias(pass *Pass, fd *ast.FuncDecl) {
 			if fn == nil || fn.Pkg() == nil || !isBitsetPkgPath(fn.Pkg().Path()) {
 				return true
 			}
-			if origin := classify(sel.X); origin == originBorrowed {
+			if classify(sel.X) == originBorrowed {
 				pass.Reportf(n.Pos(),
-					"in-place %s on %s; Clone() before mutating, or mark the producer // vetsuite:fresh",
-					sel.Sel.Name, describe(origin))
+					"in-place %s on a bitset borrowed from another package or struct; Clone() before mutating",
+					sel.Sel.Name)
 			}
 		}
 		return true

@@ -16,8 +16,8 @@ import (
 //     library that mints its own root context detaches itself from the
 //     caller's cancellation, which is exactly how a shutdown deadline
 //     stops propagating into a long mining run. Deliberate roots (the
-//     context-free convenience wrappers) carry a //vet:ignore with the
-//     justification.
+//     context-free convenience wrappers) carry a vetsuite:allow marker
+//     with the justification.
 //  3. A declared ctx parameter must actually be used — an ignored ctx
 //     is a forwarding break: the caller believes cancellation reaches
 //     the callee's work, but it stops right there.

@@ -36,19 +36,6 @@ func (s *EscapeSet) ForFile(abs string) []EscapeDiag {
 	return s.byFile[filepath.Clean(abs)]
 }
 
-// Files returns every file with at least one diagnostic, sorted.
-func (s *EscapeSet) Files() []string {
-	if s == nil {
-		return nil
-	}
-	out := make([]string, 0, len(s.byFile))
-	for f := range s.byFile {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // escapeLineRE matches one compiler diagnostic line. The go command
 // replays compiler output from the build cache, so repeated runs are
 // deterministic even when nothing recompiles.

@@ -7,21 +7,12 @@ import (
 	"strings"
 )
 
-// Facts is module-wide knowledge shared by all analyzers: which
-// functions are documented to return freshly allocated bitsets, and
-// which declarations are deprecated.
+// Facts is module-wide knowledge shared by all analyzers:
 //
-// A producer is "fresh" when its doc comment contains the marker
-// "vetsuite:fresh", or when it is one of the bitset package's own
-// constructors/pure-algebra methods (New, FromIndices, Clone,
-// Intersect, Union, Difference), which always allocate.
-//
-// A declaration is deprecated when its doc comment has a paragraph
-// starting with "Deprecated:", the standard Go convention.
-//
-// The contract-verification analyzers add two more tables plus the
-// compiler's escape diagnostics:
-//
+//   - Fresh holds the bitset package's own constructors and
+//     pure-algebra functions (New, FromIndices, Clone, Intersect, Union,
+//     Difference), which always return a newly allocated set;
+//     bitsetalias treats their results as owned.
 //   - AllocFree holds functions whose doc comment carries the
 //     "vet:allocfree" marker; the allocfree analyzer proves they
 //     compile without heap escapes.
@@ -31,29 +22,19 @@ import (
 //     (or a test) calls ComputeEscapes, in which case allocfree reports
 //     a configuration finding rather than silently passing.
 type Facts struct {
-	Fresh      map[types.Object]bool
-	Deprecated map[types.Object]bool
-
+	Fresh     map[types.Object]bool
 	AllocFree map[types.Object]bool
 	Sentinels map[types.Object]bool
 	Escapes   *EscapeSet
 
-	funcSites map[types.Object]FuncSite
+	funcDecls map[types.Object]*ast.FuncDecl
 }
 
-// FuncSite locates a function declaration together with the package it
-// was type-checked in, so interprocedural analyzers (visitoralias, the
-// allocfree panic-path exemption) can inspect callee bodies across
+// FuncDecl returns the declaration of a module function object, or nil,
+// so the allocfree panic-path exemption can inspect callee bodies across
 // package boundaries.
-type FuncSite struct {
-	Decl *ast.FuncDecl
-	Pkg  *Package
-}
-
-// FuncSite returns the declaration site of a module function object.
-func (f *Facts) FuncSite(obj types.Object) (FuncSite, bool) {
-	site, ok := f.funcSites[obj]
-	return site, ok
+func (f *Facts) FuncDecl(obj types.Object) *ast.FuncDecl {
+	return f.funcDecls[obj]
 }
 
 // bitsetFresh lists *bitset.Set-returning functions of the bitset
@@ -67,16 +48,14 @@ var bitsetFresh = map[string]bool{
 	"Difference":  true,
 }
 
-// ComputeFacts scans the given packages' declarations for
-// vetsuite:fresh markers, Deprecated: doc paragraphs and the bitset
-// built-ins.
+// ComputeFacts scans the given packages' declarations for the bitset
+// built-ins, vet:allocfree annotations and error sentinels.
 func ComputeFacts(pkgs []*Package) *Facts {
 	facts := &Facts{
-		Fresh:      map[types.Object]bool{},
-		Deprecated: map[types.Object]bool{},
-		AllocFree:  map[types.Object]bool{},
-		Sentinels:  map[types.Object]bool{},
-		funcSites:  map[types.Object]FuncSite{},
+		Fresh:     map[types.Object]bool{},
+		AllocFree: map[types.Object]bool{},
+		Sentinels: map[types.Object]bool{},
+		funcDecls: map[types.Object]*ast.FuncDecl{},
 	}
 	for _, pkg := range pkgs {
 		inBitset := isBitsetPkgPath(pkg.Path)
@@ -88,47 +67,21 @@ func ComputeFacts(pkgs []*Package) *Facts {
 					if obj == nil {
 						continue
 					}
-					facts.funcSites[obj] = FuncSite{Decl: d, Pkg: pkg}
-					if d.Doc != nil && strings.Contains(d.Doc.Text(), "vetsuite:fresh") {
-						facts.Fresh[obj] = true
-					}
+					facts.funcDecls[obj] = d
 					if hasDirective(d.Doc, "//vet:allocfree") {
 						facts.AllocFree[obj] = true
 					}
 					if inBitset && bitsetFresh[d.Name.Name] {
 						facts.Fresh[obj] = true
 					}
-					if isDeprecatedDoc(d.Doc) {
-						facts.Deprecated[obj] = true
-					}
 				case *ast.GenDecl:
-					// Types, vars and consts: the GenDecl doc applies to
-					// every spec, a per-spec doc only to its own.
+					if d.Tok != token.VAR {
+						continue
+					}
 					for _, spec := range d.Specs {
-						var names []*ast.Ident
-						var doc *ast.CommentGroup
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							names, doc = []*ast.Ident{s.Name}, s.Doc
-						case *ast.ValueSpec:
-							names, doc = s.Names, s.Doc
-							if d.Tok == token.VAR {
-								for _, name := range s.Names {
-									obj := pkg.Info.Defs[name]
-									if obj != nil && implementsError(obj.Type()) {
-										facts.Sentinels[obj] = true
-									}
-								}
-							}
-						default:
-							continue
-						}
-						if !isDeprecatedDoc(doc) && !isDeprecatedDoc(d.Doc) {
-							continue
-						}
-						for _, name := range names {
-							if obj := pkg.Info.Defs[name]; obj != nil {
-								facts.Deprecated[obj] = true
+						for _, name := range spec.(*ast.ValueSpec).Names {
+							if obj := pkg.Info.Defs[name]; obj != nil && implementsError(obj.Type()) {
+								facts.Sentinels[obj] = true
 							}
 						}
 					}
@@ -165,20 +118,6 @@ func implementsError(t types.Type) bool {
 
 var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-// isDeprecatedDoc reports whether a doc comment has a paragraph
-// starting with the conventional "Deprecated:" marker.
-func isDeprecatedDoc(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, para := range strings.Split(doc.Text(), "\n\n") {
-		if strings.HasPrefix(strings.TrimSpace(para), "Deprecated:") {
-			return true
-		}
-	}
-	return false
-}
-
 // isBitsetPkgPath reports whether an import path is the bitset package.
 func isBitsetPkgPath(path string) bool {
 	return path == "bitset" || strings.HasSuffix(path, "/bitset")
@@ -201,22 +140,6 @@ func isBitsetNamed(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj != nil && obj.Name() == "Set" && obj.Pkg() != nil && isBitsetPkgPath(obj.Pkg().Path())
-}
-
-// holdsBitsetPtr reports whether t is *bitset.Set or a slice, array or
-// map holding *bitset.Set directly.
-func holdsBitsetPtr(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Pointer:
-		return isBitsetNamed(u.Elem())
-	case *types.Slice:
-		return isBitsetPtr(u.Elem())
-	case *types.Array:
-		return isBitsetPtr(u.Elem())
-	case *types.Map:
-		return isBitsetPtr(u.Elem())
-	}
-	return false
 }
 
 // calleeFunc resolves the *types.Func a call invokes, or nil for calls

@@ -17,7 +17,6 @@ import (
 // test fixture loaded under a synthetic import path).
 type Package struct {
 	Path  string // import path
-	Dir   string // absolute directory
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files, in filename order
 	Types *types.Package
@@ -182,7 +181,6 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:  path,
-		Dir:   dir,
 		Fset:  l.Fset,
 		Files: files,
 		Types: tpkg,

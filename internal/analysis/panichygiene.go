@@ -11,7 +11,7 @@ import (
 // data-dependent paths: panics are reserved for programmer-error
 // precondition checks in internal/bitset, for re-raising a recovered
 // value inside a recover handler, and for sites explicitly annotated
-// // vetsuite:allow panic with a reason. (The enumeration engines
+// // vetsuite:allow panic -- <reason>. (The enumeration engines
 // abort via engine.ErrNodeBudget sentinel errors, not panics, so no
 // miner needs the recover exemption anymore.)
 var PanicHygieneAnalyzer = &Analyzer{

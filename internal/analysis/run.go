@@ -41,28 +41,24 @@ type ReportRule struct {
 }
 
 // Main is the vetsuite driver: it loads every package of the module
-// enclosing dir (or the working directory), runs the selected analyzers
-// and prints findings for the packages matching the given patterns
-// (default ./...). The whole module is always loaded — cross-package
-// facts like atomic-field usage need it — but findings are reported
-// only for selected packages. It returns the process exit code:
-// 0 clean, 1 findings, 2 load or usage errors (so CI can tell "the
-// code has findings" from "the suite could not run").
+// enclosing the working directory, runs every analyzer over all of them
+// and prints the findings. It returns the process exit code: 0 clean,
+// 1 findings, 2 load or usage errors (so CI can tell "the code has
+// findings" from "the suite could not run").
 func Main(w, ew io.Writer, args []string) int {
 	fs := flag.NewFlagSet("vetsuite", flag.ContinueOnError)
 	fs.SetOutput(ew)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON (schema "+findingsSchema+")")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-	disable := fs.String("disable", "", "comma-separated analyzers to skip")
-	dir := fs.String("C", ".", "directory whose module to analyze")
-	pkgFlag := fs.String("pkg", "", "package pattern(s) to report on, comma-separated (same syntax as positional patterns)")
 	fs.Usage = func() {
-		fmt.Fprintln(ew, "usage: vetsuite [-json] [-list] [-enable a,b] [-disable a,b] [-pkg patterns] [-C dir] [patterns]")
-		fmt.Fprintln(ew, "patterns: ./... (default), ./dir/... (subtree), ./dir or import path (exact)")
+		fmt.Fprintln(ew, "usage: vetsuite [-json] [-list]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(ew, "vetsuite: unexpected argument %q: the whole module is always analyzed\n", fs.Arg(0))
 		return 2
 	}
 	suite := DefaultSuite()
@@ -72,19 +68,8 @@ func Main(w, ew io.Writer, args []string) int {
 		}
 		return 0
 	}
-	patterns := fs.Args()
-	if *pkgFlag != "" {
-		for _, p := range strings.Split(*pkgFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				patterns = append(patterns, p)
-			}
-		}
-	}
-	if suite = selectAnalyzers(suite, *enable, *disable, ew); suite == nil {
-		return 2
-	}
 
-	root, err := FindModuleRoot(*dir)
+	root, err := FindModuleRoot(".")
 	if err != nil {
 		fmt.Fprintf(ew, "vetsuite: %v\n", err)
 		return 2
@@ -99,21 +84,12 @@ func Main(w, ew io.Writer, args []string) int {
 		fmt.Fprintf(ew, "vetsuite: %v\n", err)
 		return 2
 	}
-	selected, err := matchPackages(pkgs, loader, patterns)
-	if err != nil {
+	facts := ComputeFacts(pkgs)
+	if facts.Escapes, err = ComputeEscapes(root); err != nil {
 		fmt.Fprintf(ew, "vetsuite: %v\n", err)
 		return 2
 	}
-	facts := ComputeFacts(pkgs)
-	if suite.Lookup("allocfree") != nil {
-		esc, err := ComputeEscapes(root)
-		if err != nil {
-			fmt.Fprintf(ew, "vetsuite: %v\n", err)
-			return 2
-		}
-		facts.Escapes = esc
-	}
-	diags := suite.Run(selected, facts)
+	diags := suite.Run(pkgs, facts)
 	for i := range diags {
 		diags[i].File = relPath(root, diags[i].File)
 	}
@@ -142,118 +118,13 @@ func Main(w, ew io.Writer, args []string) int {
 			fmt.Fprintln(w, d)
 		}
 		if len(diags) > 0 {
-			fmt.Fprintf(w, "vetsuite: %d finding(s) in %d package(s)\n", len(diags), len(selected))
+			fmt.Fprintf(w, "vetsuite: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		}
 	}
 	if len(diags) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// matchPackages filters the loaded packages down to those matching the
-// go-style patterns: "./..." or "all" select everything, "./x/..."
-// selects a subtree, "./x" or a full import path selects one package.
-// An empty pattern list means everything; a pattern matching nothing is
-// an error (a typo must not silently analyze zero packages).
-func matchPackages(pkgs []*Package, loader *Loader, patterns []string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		return pkgs, nil
-	}
-	var out []*Package
-	seen := map[string]bool{}
-	for _, pat := range patterns {
-		matched := false
-		for _, pkg := range pkgs {
-			if matchPattern(pkg, loader, pat) {
-				matched = true
-				if !seen[pkg.Path] {
-					seen[pkg.Path] = true
-					out = append(out, pkg)
-				}
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("pattern %q matched no packages", pat)
-		}
-	}
-	return out, nil
-}
-
-// matchPattern reports whether one package matches one pattern.
-func matchPattern(pkg *Package, loader *Loader, pat string) bool {
-	if pat == "all" || pat == "./..." || pat == "..." {
-		return true
-	}
-	// Normalize "./x" and "./x/..." to import-path form.
-	rec := strings.HasSuffix(pat, "/...")
-	base := strings.TrimSuffix(pat, "/...")
-	base = strings.TrimPrefix(base, "./")
-	base = strings.TrimSuffix(filepath.ToSlash(base), "/")
-	if base == "." || base == "" {
-		return rec // "./..." handled above; bare "./" only with /...
-	}
-	var path string
-	switch {
-	case base == loader.ModulePath || strings.HasPrefix(base, loader.ModulePath+"/"):
-		path = base
-	default:
-		path = loader.ModulePath + "/" + base
-	}
-	if rec {
-		return pkg.Path == path || strings.HasPrefix(pkg.Path, path+"/")
-	}
-	return pkg.Path == path
-}
-
-// selectAnalyzers applies -enable/-disable, reporting unknown names.
-func selectAnalyzers(suite *Suite, enable, disable string, ew io.Writer) *Suite {
-	names := func(csv string) ([]string, bool) {
-		if csv == "" {
-			return nil, true
-		}
-		var out []string
-		for _, n := range strings.Split(csv, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if suite.Lookup(n) == nil {
-				fmt.Fprintf(ew, "vetsuite: unknown analyzer %q\n", n)
-				return nil, false
-			}
-			out = append(out, n)
-		}
-		return out, true
-	}
-	en, ok := names(enable)
-	if !ok {
-		return nil
-	}
-	dis, ok := names(disable)
-	if !ok {
-		return nil
-	}
-	selected := &Suite{}
-	for _, a := range suite.Analyzers {
-		if len(en) > 0 && !contains(en, a.Name) {
-			continue
-		}
-		if contains(dis, a.Name) {
-			continue
-		}
-		selected.Analyzers = append(selected.Analyzers, a)
-	}
-	return selected
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // relPath strips the module root prefix so both text and JSON output

@@ -28,9 +28,9 @@ func cloneFirst(ix *bitsetaliasdep.Index) *bitset.Set {
 	return s
 }
 
-func freshProducer(ix *bitsetaliasdep.Index) {
-	f := ix.FreshRows()
-	f.Remove(2) // ok: producer is marked vetsuite:fresh
+func freshProducer(ix *bitsetaliasdep.Index, other *bitset.Set) {
+	f := ix.ItemRows().Intersect(other)
+	f.Remove(2) // ok: Intersect returns a new set
 }
 
 func locallyOwned(n int) *bitset.Set {

@@ -1,6 +1,5 @@
 // Package bitsetaliasdep is a fixture dependency: a foreign package
-// exposing bitset accessors, one sharing its internal set and one
-// documented fresh.
+// exposing an accessor that shares its internal set.
 package bitsetaliasdep
 
 import "repro/internal/bitset"
@@ -13,8 +12,3 @@ type Index struct {
 
 // ItemRows returns the index's internal row set. Callers borrow it.
 func (ix *Index) ItemRows() *bitset.Set { return ix.Rows }
-
-// FreshRows returns an independent copy of the row set.
-//
-// vetsuite:fresh
-func (ix *Index) FreshRows() *bitset.Set { return ix.Rows.Clone() }

@@ -38,5 +38,5 @@ func work(ctx context.Context, n int) error {
 func ctxBlank(_ context.Context, n int) int { return n }
 
 func deliberateRoot() error {
-	return work(context.Background(), 3) //vet:ignore ctxflow fixture: documented context-free convenience wrapper
+	return work(context.Background(), 3) // vetsuite:allow ctxflow -- fixture: documented context-free convenience wrapper
 }

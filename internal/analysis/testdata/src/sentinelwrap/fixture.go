@@ -63,5 +63,5 @@ func switches(err error) string {
 }
 
 func allowed(err error) bool {
-	return err == ErrBudget //vet:ignore sentinelwrap fixture: suppression must work
+	return err == ErrBudget // vetsuite:allow sentinelwrap -- fixture: suppression must work
 }

@@ -97,7 +97,7 @@ func (v *ColumnView) Build(rows []*Set) {
 			panic(fmt.Sprintf("bitset: row universe %d smaller than %d items", row.n, v.numItems))
 		}
 	}
-	v.Grow(n) //vet:ignore allocfree one-time capacity growth; steady-state batches take the fast path
+	v.Grow(n) // vetsuite:allow allocfree -- one-time capacity growth; steady-state batches take the fast path
 	v.rows = n
 	blocks := (n + wordBits - 1) / wordBits
 	for b := 0; b < blocks; b++ {

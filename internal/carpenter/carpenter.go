@@ -84,7 +84,7 @@ func (v *visitor) OnGroup(items []int, rows *bitset.Set, xp, xn int, xPos []int)
 // Mine discovers all closed itemsets of d with support >= cfg.Minsup
 // using row enumeration. It is MineContext without cancellation.
 func Mine(d *dataset.Dataset, cfg Config) (*Result, error) {
-	return MineContext(context.Background(), d, cfg) //vet:ignore ctxflow Mine is the documented context-free convenience wrapper over MineContext
+	return MineContext(context.Background(), d, cfg) // vetsuite:allow ctxflow -- Mine is the documented context-free convenience wrapper over MineContext
 }
 
 // MineContext is Mine with cancellation: ctx cancellation or deadline

@@ -68,7 +68,7 @@ func (m *searcher) tick() error {
 // Mine discovers all closed itemsets of d with support >= cfg.Minsup.
 // It is MineContext without cancellation.
 func Mine(d *dataset.Dataset, cfg Config) (*Result, error) {
-	return MineContext(context.Background(), d, cfg) //vet:ignore ctxflow Mine is the documented context-free convenience wrapper over MineContext
+	return MineContext(context.Background(), d, cfg) // vetsuite:allow ctxflow -- Mine is the documented context-free convenience wrapper over MineContext
 }
 
 // MineContext is Mine with cancellation: ctx cancellation or deadline

@@ -45,7 +45,7 @@ func NewBudget(ctx context.Context, maxNodes int) *Budget {
 // context and cap. Not safe to call while a search is charging.
 func (b *Budget) Reset(ctx context.Context, maxNodes int) {
 	if ctx == nil {
-		ctx = context.Background() //vet:ignore ctxflow defensive default for a nil ctx; callers on the cancellation path always pass one
+		ctx = context.Background() // vetsuite:allow ctxflow -- defensive default for a nil ctx; callers on the cancellation path always pass one
 	}
 	b.ctx = ctx
 	b.done = ctx.Done()

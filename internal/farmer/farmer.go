@@ -90,7 +90,7 @@ type Result struct {
 // Mine discovers all interesting rule groups of class cls in d. It is
 // MineContext without cancellation.
 func Mine(d *dataset.Dataset, cls dataset.Label, cfg Config) (*Result, error) {
-	return MineContext(context.Background(), d, cls, cfg) //vet:ignore ctxflow Mine is the documented context-free convenience wrapper over MineContext
+	return MineContext(context.Background(), d, cls, cfg) // vetsuite:allow ctxflow -- Mine is the documented context-free convenience wrapper over MineContext
 }
 
 // MineContext is Mine with cancellation: ctx cancellation or deadline

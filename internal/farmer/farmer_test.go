@@ -189,32 +189,36 @@ func TestAgainstOracleRandom(t *testing.T) {
 }
 
 func TestSupportAndConfidenceValues(t *testing.T) {
-	// Every reported group's support/confidence must recompute from the
-	// dataset exactly.
+	// Every reported group's rows, support and confidence must recompute
+	// from the dataset exactly, on every engine. Rows outlive the
+	// enumeration, so an engine whose visitor kept an arena-aliased set
+	// instead of a copy fails here.
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		d := randomDataset(r)
-		res, err := Mine(d, 0, Config{Minsup: 1, Minconf: 0, Engine: EnginePrefix})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range res.Groups {
-			sup := d.SupportSet(g.Antecedent)
-			if !sup.Equal(g.Rows) {
-				t.Fatalf("trial %d: Rows mismatch for %v", trial, g.Antecedent)
+		for _, eng := range []Engine{EngineBitset, EnginePrefix, EngineNaive} {
+			res, err := Mine(d, 0, Config{Minsup: 1, Minconf: 0, Engine: eng})
+			if err != nil {
+				t.Fatal(err)
 			}
-			xp := 0
-			sup.ForEach(func(row int) bool {
-				if d.Labels[row] == 0 {
-					xp++
+			for _, g := range res.Groups {
+				sup := d.SupportSet(g.Antecedent)
+				if !sup.Equal(g.Rows) {
+					t.Fatalf("trial %d, %v: Rows mismatch for %v", trial, eng, g.Antecedent)
 				}
-				return true
-			})
-			if g.Support != xp {
-				t.Fatalf("trial %d: support %d, want %d", trial, g.Support, xp)
-			}
-			if g.Confidence != float64(xp)/float64(sup.Count()) {
-				t.Fatalf("trial %d: confidence mismatch", trial)
+				xp := 0
+				sup.ForEach(func(row int) bool {
+					if d.Labels[row] == 0 {
+						xp++
+					}
+					return true
+				})
+				if g.Support != xp {
+					t.Fatalf("trial %d, %v: support %d, want %d", trial, eng, g.Support, xp)
+				}
+				if g.Confidence != float64(xp)/float64(sup.Count()) {
+					t.Fatalf("trial %d, %v: confidence mismatch", trial, eng)
+				}
 			}
 		}
 	}

@@ -436,7 +436,7 @@ func entropy(counts []int) float64 {
 
 // FindAll is FindAllContext without cancellation.
 func FindAll(d *dataset.Dataset, groups []*rules.Group, cfg Config) [][]*rules.Rule {
-	out, _ := FindAllContext(context.Background(), d, groups, cfg) //vet:ignore ctxflow FindAll is the documented context-free convenience wrapper over FindAllContext
+	out, _ := FindAllContext(context.Background(), d, groups, cfg) // vetsuite:allow ctxflow -- FindAll is the documented context-free convenience wrapper over FindAllContext
 	return out
 }
 

@@ -125,7 +125,7 @@ func (b *BatchScorer) PredictInto(rows []*bitset.Set, labels []dataset.Label, id
 	if n == 0 {
 		return
 	}
-	b.Grow(n) //vet:ignore allocfree one-time arena growth; the steady state takes the n <= capRows fast path
+	b.Grow(n) // one-time arena growth; the steady state takes the n <= capRows fast path
 
 	// Item-major view of the batch: the column of item i = the rows
 	// containing i, for every item some rule antecedent references.

@@ -146,7 +146,7 @@ type Stats struct {
 // Train builds an RCBT classifier from a discretized training dataset.
 // It is TrainContext without cancellation.
 func Train(d *dataset.Dataset, cfg Config) (*Classifier, error) {
-	return TrainContext(context.Background(), d, cfg) //vet:ignore ctxflow Train is the documented context-free convenience wrapper over TrainContext
+	return TrainContext(context.Background(), d, cfg) // vetsuite:allow ctxflow -- Train is the documented context-free convenience wrapper over TrainContext
 }
 
 // TrainContext builds an RCBT classifier with cancellation: ctx
@@ -367,7 +367,7 @@ func (c *Classifier) Predict(rowItems *bitset.Set) (label dataset.Label, classif
 	if c.numClasses <= maxStackClasses {
 		scores = buf[:c.numClasses]
 	} else {
-		scores = make([]float64, c.numClasses) //vet:ignore allocfree wide label spaces exceed the stack bound; the common gene-expression path stays on buf
+		scores = make([]float64, c.numClasses) // vetsuite:allow allocfree -- wide label spaces exceed the stack bound; the common gene-expression path stays on buf
 	}
 	for j := range c.subs {
 		sub := &c.subs[j]

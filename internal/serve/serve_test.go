@@ -511,7 +511,7 @@ func TestCheckedInFixtureServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := rcbt.LoadModel(f)
-	f.Close() // vetsuite:allow uncheckederr -- read-only test fixture
+	f.Close() // read-only test fixture
 	if err != nil {
 		t.Fatal(err)
 	}
