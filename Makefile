@@ -78,8 +78,9 @@ serve:
 
 # Short fuzzing sessions over the dataset parsers, the bit-set algebra,
 # the discretizer, the model envelope decoder, FindLB against its
-# reference search, the request reader against encoding/json, the job
-# body and the dataset snapshot decoder.
+# reference search, the request reader against encoding/json, its
+# number conversion against strconv, the job body and the dataset
+# snapshot decoder.
 fuzz:
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzReadDataset -fuzztime 30s ./internal/dataset/
@@ -89,6 +90,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadModel -fuzztime 30s ./internal/rcbt/
 	$(GO) test -fuzz FuzzFind -fuzztime 30s ./internal/lowerbound/
 	$(GO) test -fuzz FuzzRequestDecode -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz FuzzNumber -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzJobRequest -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzLoadSnapshot -fuzztime 30s ./internal/datastore/
 

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -139,6 +141,12 @@ func TestInputValidation(t *testing.T) {
 	}
 	if _, err := Mine(d, 9, DefaultConfig(2, 1)); err == nil {
 		t.Fatal("bad class must error")
+	}
+	// A class no row carries.
+	none := &dataset.Dataset{Items: d.Items, Rows: d.Rows, Labels: d.Labels,
+		ClassNames: append(slices.Clip(d.ClassNames), "none")}
+	if _, err := Mine(none, 2, DefaultConfig(2, 1)); err == nil || !strings.Contains(err.Error(), "no rows of class none") {
+		t.Fatalf("a class without rows: %v, want its error", err)
 	}
 }
 

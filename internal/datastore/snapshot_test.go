@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -250,6 +251,14 @@ func TestRecoverySkipsBadPackedValues(t *testing.T) {
 			copy(env.Packed[8:], []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}) // +Inf
 			return nil
 		}},
+		{"envelope names another version", func(env *snapshotEnvelope, _ []byte) []byte {
+			env.Version++
+			return nil
+		}},
+		{"one cut list short", func(env *snapshotEnvelope, _ []byte) []byte {
+			env.Cuts = env.Cuts[:len(env.Cuts)-1]
+			return nil
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -291,6 +300,24 @@ func TestRecoverySkipsBadPackedValues(t *testing.T) {
 				t.Fatalf("recovered v%d, want v1 as persisted", got.Version)
 			}
 		})
+	}
+}
+
+// TestCreateReportsPersistCause: when the dataset's directory cannot be
+// made, Create returns the file system's error wrapped, so a caller can
+// match it, and registers nothing.
+func TestCreateReportsPersistCause(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "d"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, dir, 0)
+	m := sepMatrix(t)
+	if _, err := s.Create("d", m.ClassNames, m.GeneNames, m.Values, m.Labels); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("Create under a regular file: %v, want ENOTDIR", err)
+	}
+	if _, err := s.Get("d"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("a failed create left a dataset: %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // body that is most of the upload.
 //
 // A body with rows (create, append and batch) is read in two passes,
-// since strconv.ParseFloat is most of the work. The structure pass
+// since its numbers are most of the work. The structure pass
 // reads everything but the rows' values arrays and records each of
 // them as a span of offsets, from its '[' to just past the first ']'
 // after it: a number cannot contain ']', so in every array the reader
@@ -42,22 +42,23 @@ import (
 //   - null anywhere;
 //   - a string that is not valid UTF-8 (encoding/json substitutes
 //     U+FFFD);
-//   - a number strconv rejects (1e400), and an integer field holding a
-//     fraction, an exponent or a value outside int;
+//   - a number strconv.ParseFloat rejects (1e400), and an integer field
+//     holding a fraction, an exponent or a value outside int;
 //   - row maxBatch+1 of a batch, which the token decoder answers with
 //     413.
 //
-// Numbers go through strconv.ParseFloat(lit, 64) and
-// strconv.ParseInt(lit, 10, 64), the calls encoding/json makes, so
-// every value is bit-identical. Plain printable ASCII strings are taken
-// as they are; a string with escapes or other bytes goes through
-// json.Unmarshal. An empty array is an empty non-nil slice and an
-// absent field stays nil, except batch rows, which the token decoder
-// appends one by one. Bytes after the top-level value are ignored, as
-// json.Decoder.Decode ignores them. Slices grow as elements arrive and
-// spans as rows do, and a values array is collected in its goroutine's
-// scratch buffer and copied out at its length; nothing is sized from a
-// count the body declares.
+// A float is checked and converted in one pass (float, in number.go)
+// to the bits strconv.ParseFloat(lit, 64) gives, and an integer goes
+// through strconv.ParseInt(lit, 10, 64): those are the calls
+// encoding/json makes, so every value is bit-identical. Plain printable
+// ASCII strings are taken as they are; a string with escapes or other
+// bytes goes through json.Unmarshal. An empty array is an empty non-nil
+// slice and an absent field stays nil, except batch rows, which the
+// token decoder appends one by one. Bytes after the top-level value are
+// ignored, as json.Decoder.Decode ignores them. Slices grow as elements
+// arrive and spans as rows do, and a values array is collected in its
+// goroutine's scratch buffer and copied out at its length; nothing is
+// sized from a count the body declares.
 
 // readRequest decodes body into dst when dst is one of the reader's
 // request types and the reader accepts body. Otherwise it leaves dst
@@ -441,15 +442,6 @@ func (r *reader) str() (string, bool) {
 		}
 	}
 	return "", false
-}
-
-func (r *reader) float() (float64, bool) {
-	lit, ok := r.number()
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	return f, err == nil
 }
 
 func (r *reader) integer() (int, bool) {

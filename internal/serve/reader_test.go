@@ -32,6 +32,11 @@ var canonicalBodies = []string{
 	`{"rows":[{"values":[1e-300,2],"label":0},{"values":[3,-4.25]},{"label":"b","values":[	5 ,
 6 ]}]}`,
 	`{"rows":[{"items":[0],"values":[-0,0]},{"values":[]},{"values":[1.5,2,-3]}],"model":"m"}`,
+	// Values for each of reader.float's conversions: Clinger's path
+	// (2.5, 1E+2), Eisel–Lemire (17-digit mantissas), zero (-0) and the
+	// strconv fallback (subnormals, 25-digit mantissas).
+	`{"rows":[{"values":[0.30000000000000004,5e-324,2.5],"label":0},{"values":[-0,1E+2,1234567890123456789012345e-3],"label":"a"}]}`,
+	`{"model":"m","rows":[{"values":[-0.0,4.9406564584124654e-324]},{"values":[1E+2,0.1234567890123456789012345,-1.7976931348623157e308]}]}`,
 }
 
 // declineBodies lists bodies the reader must decline, so that
@@ -68,6 +73,10 @@ var declineBodies = []string{
 	`{"values":[.5]}`,
 	`{"values":[1e]}`,
 	`{"values":[-]}`,
+	`{"values":[00]}`,
+	`{"values":[1_0]}`,
+	`{"values":[1e+]}`,
+	`{"values":[NaN]}`,
 	// Integer fields holding a fraction, an exponent or a value
 	// outside int.
 	`{"items":[1.0]}`,
@@ -386,11 +395,28 @@ func TestReaderAcrossWorkers(t *testing.T) {
 	}
 }
 
+// classify1Body is a single classify of one PC/4 test row, 3,150
+// values: the read of the repository benchmark's stream-mixed workload,
+// which the reader parses inline.
+func classify1Body(t testing.TB) []byte {
+	t.Helper()
+	_, test, err := synth.Generate(synth.Scaled(synth.PC(), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(ClassifyRequest{Values: test.Values[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // BenchmarkRequestDecode times the reader against encoding/json on the
-// PC/3 create body and on batch16Body of it.
+// PC/3 create body, on batch16Body of it and on classify1Body.
 func BenchmarkRequestDecode(b *testing.B) {
 	create := pc3Body(b)
 	batch := batch16Body(b, create)
+	classify := classify1Body(b)
 	run := func(name string, body []byte, decode func([]byte) bool) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
@@ -417,5 +443,13 @@ func BenchmarkRequestDecode(b *testing.B) {
 	run("batch16/encoding-json", batch, func(body []byte) bool {
 		_, err := decodeBatchTokens(body, DefaultMaxBatch)
 		return err == nil
+	})
+	run("classify1/reader", classify, func(body []byte) bool {
+		var dst ClassifyRequest
+		return readRequest(body, &dst)
+	})
+	run("classify1/encoding-json", classify, func(body []byte) bool {
+		var dst ClassifyRequest
+		return decodeStrict(body, &dst) == nil
 	})
 }

@@ -444,6 +444,32 @@ func TestModelEnvelopeGet(t *testing.T) {
 	}
 }
 
+// TestModelPullSkipsFailingPeer: a peer that answers 503 gets the
+// replica's caller a 404, and the replica registers nothing, even when
+// the 503's body is a valid envelope.
+func TestModelPullSkipsFailingPeer(t *testing.T) {
+	m := exampleModel(t)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		if err := m.Save(w); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer peer.Close()
+	replica := newTestServer(t, Config{
+		Models: map[string]*rcbt.Model{"local": exampleModel(t)},
+		Peers:  []string{peer.URL},
+	})
+	rec := httptest.NewRecorder()
+	replica.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/models/shared", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("model behind a failing peer: status %d, want 404", rec.Code)
+	}
+	if names := replica.ModelNames(); len(names) != 1 || names[0] != "local" {
+		t.Fatalf("replica models = %v, want [local]", names)
+	}
+}
+
 // TestModelPullOnMiss: a replica without the model fetches the
 // envelope from its peer on first use, registers it, and serves it —
 // and the loop-guard header keeps a self-peering replica from
