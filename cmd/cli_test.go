@@ -213,6 +213,20 @@ func TestRcbtSaveLoad(t *testing.T) {
 	if a, b := accOf(out1), accOf(out2); a == "" || a != b {
 		t.Fatalf("accuracy mismatch: %q vs %q", a, b)
 	}
+
+	// A save that cannot be written must fail the command, not print
+	// "saved model to".
+	bad := filepath.Join(dir, "missing", "m.json")
+	out, err := exec.Command(filepath.Join(binaries(t), "rcbt"),
+		"-train", trainF, "-k", "2", "-nl", "3", "-save", bad).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("rcbt -save into a missing directory: %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "rcbt: ") || !strings.Contains(string(out), "no such file or directory") ||
+		strings.Contains(string(out), "saved model to") {
+		t.Fatalf("rcbt -save into a missing directory does not name the error:\n%s", out)
+	}
 }
 
 // TestRcbtservedSmoke trains a model via the CLI, serves it with

@@ -40,7 +40,7 @@ func main() {
 
 	var model *rcbt.Model
 	if *loadModel != "" {
-		m, err := loadModelFile(*loadModel)
+		m, err := rcbt.LoadModelFile(*loadModel)
 		if err != nil {
 			fail(err)
 		}
@@ -59,7 +59,7 @@ func main() {
 		c.NumClassifiers(), c.NumClassifiers()-1, model.ClassName(c.Default()))
 
 	if *saveModel != "" {
-		if err := saveModelFile(*saveModel, model); err != nil {
+		if err := model.SaveFile(*saveModel); err != nil {
 			fail(err)
 		}
 		fmt.Printf("saved model to %s\n", *saveModel)
@@ -129,27 +129,6 @@ func evaluate(model *rcbt.Model, testPath string) error {
 	fmt.Printf("decided by main classifier: %d, standby: %v, default class: %d\n",
 		first(stats.ByClassifier), rest(stats.ByClassifier), stats.Defaults)
 	return nil
-}
-
-func loadModelFile(path string) (*rcbt.Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() // vetsuite:allow uncheckederr -- read-only file, nothing buffered to lose
-	return rcbt.LoadModel(f)
-}
-
-func saveModelFile(path string, m *rcbt.Model) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Save(f); err != nil {
-		f.Close() // vetsuite:allow uncheckederr -- save already failed
-		return err
-	}
-	return f.Close()
 }
 
 func first(xs []int) int {

@@ -149,7 +149,7 @@ func main() {
 
 	loaded := make(map[string]*rcbt.Model, len(models))
 	for name, path := range models {
-		m, err := loadModel(path)
+		m, err := rcbt.LoadModelFile(path)
 		if err != nil {
 			fail(fmt.Errorf("model %s: %w", name, err))
 		}
@@ -260,15 +260,6 @@ func main() {
 			fail(err)
 		}
 	}
-}
-
-func loadModel(path string) (*rcbt.Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() // vetsuite:allow uncheckederr -- read-only file, nothing buffered to lose
-	return rcbt.LoadModel(f)
 }
 
 // loadDataset reads a raw expression matrix, fits the entropy-MDL

@@ -123,9 +123,16 @@ func (f *faultFile) Sync() error {
 	return f.File.Sync()
 }
 
+// Close closes the file on a "close" fault too, so the test leaks no
+// descriptor, and reports the fault as a file system that loses
+// buffered data at close might.
 func (f *faultFile) Close() error {
 	*f.log = append(*f.log, "close")
-	return f.File.Close()
+	err := f.File.Close()
+	if f.fault == "close" {
+		return errInjected
+	}
+	return err
 }
 
 // TestWriteSyncsBeforeAndAfterRename pins the order of a write: the
@@ -147,9 +154,10 @@ func TestWriteSyncsBeforeAndAfterRename(t *testing.T) {
 }
 
 // TestWriteFaultsKeepOldFile injects a failed write, a short write, a
-// failed Sync and a failed rename. Each must be reported, leave the
-// destination's old bytes and leave no staging file. A failed
-// directory fsync is reported too, after the new bytes are in place.
+// failed Sync, a failed Close and a failed rename. Each must be
+// reported, leave the destination's old bytes and leave no staging
+// file. A failed directory fsync is reported too, after the new bytes
+// are in place.
 func TestWriteFaultsKeepOldFile(t *testing.T) {
 	for _, tc := range []struct {
 		fault string
@@ -159,6 +167,7 @@ func TestWriteFaultsKeepOldFile(t *testing.T) {
 		{"write", syscall.ENOSPC, "old"},
 		{"short", io.ErrShortWrite, "old"},
 		{"sync", errInjected, "old"},
+		{"close", errInjected, "old"},
 		{"rename", errInjected, "old"},
 		{"syncdir", errInjected, "new bytes"},
 	} {

@@ -30,9 +30,8 @@ type Config struct {
 	Minsup   int // absolute minimum support over all rows
 	MaxNodes int // 0 = unbounded
 	// Progress, when non-nil, receives engine.ProgressSnapshots every
-	// ProgressEvery nodes (0 = engine.DefaultProgressEvery).
-	Progress      engine.ProgressFunc
-	ProgressEvery int
+	// engine.DefaultProgressEvery nodes.
+	Progress engine.ProgressFunc
 }
 
 // Result is the output of Mine.
@@ -126,13 +125,12 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Result, 
 	}
 
 	eng := &engine.Enumerator{
-		NumRows:       n,
-		NumPos:        n, // unlabeled mining: every row counts toward support
-		ItemRows:      itemRows,
-		Visitor:       v,
-		MaxNodes:      cfg.MaxNodes,
-		Progress:      cfg.Progress,
-		ProgressEvery: cfg.ProgressEvery,
+		NumRows:  n,
+		NumPos:   n, // unlabeled mining: every row counts toward support
+		ItemRows: itemRows,
+		Visitor:  v,
+		MaxNodes: cfg.MaxNodes,
+		Progress: cfg.Progress,
 	}
 	stats, err := eng.Run(ctx, reps)
 	if err != nil {

@@ -15,10 +15,9 @@ func (miner) Name() string { return "carpenter" }
 
 func (miner) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Result, engine.Stats, error) {
 	cfg := Config{
-		Minsup:        opts.Minsup,
-		MaxNodes:      opts.MaxNodes,
-		Progress:      opts.Progress,
-		ProgressEvery: opts.ProgressEvery,
+		Minsup:   opts.Minsup,
+		MaxNodes: opts.MaxNodes,
+		Progress: opts.Progress,
 	}
 	res, err := MineContext(ctx, d, cfg)
 	if err != nil {

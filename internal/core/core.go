@@ -61,11 +61,10 @@ type Config struct {
 	// sets it; drop it together with that use.
 	Workers int
 	// Progress, when non-nil, receives engine.ProgressSnapshots every
-	// ProgressEvery nodes (0 = engine.DefaultProgressEvery). The
-	// snapshot's MinconfFloor is the weakest per-row top-k confidence
-	// threshold — the dynamic minconf the search currently prunes with.
-	Progress      engine.ProgressFunc
-	ProgressEvery int
+	// engine.DefaultProgressEvery nodes. The snapshot's MinconfFloor is
+	// the weakest per-row top-k confidence threshold — the dynamic
+	// minconf the search currently prunes with.
+	Progress engine.ProgressFunc
 }
 
 // DefaultConfig returns the paper's configuration with all
@@ -184,7 +183,6 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cls dataset.Label, cfg
 		DisableBackward: !cfg.BackwardPruning,
 		MaxNodes:        cfg.MaxNodes,
 		Progress:        cfg.Progress,
-		ProgressEvery:   cfg.ProgressEvery,
 	}
 	stats, err := eng.Run(ctx, reps)
 	if err != nil {

@@ -18,7 +18,6 @@ func (miner) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) 
 	cfg.MaxNodes = opts.MaxNodes
 	cfg.MinConf = opts.Minconf
 	cfg.Progress = opts.Progress
-	cfg.ProgressEvery = opts.ProgressEvery
 	if opts.DisableSeedInit {
 		cfg.SeedInit = false
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 )
 
 // ErrNodeBudget is the sentinel the mining recursions return up the
@@ -14,10 +13,9 @@ import (
 // (cancellation, deadline) surface to callers.
 var ErrNodeBudget = errors.New("engine: node budget exhausted")
 
-// Budget meters enumeration work against a node cap and a context.
-// It is safe for concurrent use: the node counter is atomic, so Nodes
-// and Remaining may be read while the search charges, and cancelling
-// the context stops the search at its next node entry.
+// Budget meters enumeration work against a node cap and a context. It
+// belongs to one search on one goroutine, which charges it and reads
+// it; cancelling the context stops the search at its next charge.
 //
 // Charge polls the context's Done channel, cached at Reset, instead of
 // calling ctx.Err() at every node: a cancelable context's Err takes the
@@ -29,7 +27,7 @@ type Budget struct {
 	ctx      context.Context
 	done     <-chan struct{} // ctx.Done(); nil when ctx can never be cancelled
 	maxNodes int64
-	nodes    atomic.Int64
+	nodes    int64
 }
 
 // NewBudget returns a budget charging against ctx and maxNodes
@@ -42,7 +40,7 @@ func NewBudget(ctx context.Context, maxNodes int) *Budget {
 
 // Reset rearms the budget for a new run without allocating: the node
 // counter restarts at zero and subsequent Charge calls check the given
-// context and cap. Not safe to call while a search is charging.
+// context and cap.
 func (b *Budget) Reset(ctx context.Context, maxNodes int) {
 	if ctx == nil {
 		ctx = context.Background() // vetsuite:allow ctxflow -- defensive default for a nil ctx; callers on the cancellation path always pass one
@@ -50,23 +48,24 @@ func (b *Budget) Reset(ctx context.Context, maxNodes int) {
 	b.ctx = ctx
 	b.done = ctx.Done()
 	b.maxNodes = int64(maxNodes)
-	b.nodes.Store(0)
+	b.nodes = 0
 }
 
-// Charge debits n work units. It returns the context's error when the
-// run is cancelled or past its deadline, ErrNodeBudget when the node
-// cap is exhausted, and nil otherwise. Cancellation wins over the cap,
-// so a cancelled run reports ctx.Err() rather than a budget abort.
+// Charge debits n work units, counting them whether or not it lets the
+// search go on. It returns the context's error when the run is
+// cancelled or past its deadline, ErrNodeBudget when the node cap is
+// exhausted, and nil otherwise. Cancellation wins over the cap, so a
+// cancelled run reports ctx.Err() rather than a budget abort.
 //
 //vet:allocfree
 func (b *Budget) Charge(n int) error {
+	b.nodes += int64(n)
 	select {
 	case <-b.done:
 		return b.ctx.Err()
 	default:
 	}
-	v := b.nodes.Add(int64(n))
-	if b.maxNodes > 0 && v > b.maxNodes {
+	if b.maxNodes > 0 && b.nodes > b.maxNodes {
 		return ErrNodeBudget
 	}
 	return nil
@@ -75,7 +74,7 @@ func (b *Budget) Charge(n int) error {
 // Nodes returns the work units charged so far.
 //
 //vet:allocfree
-func (b *Budget) Nodes() int { return int(b.nodes.Load()) }
+func (b *Budget) Nodes() int { return int(b.nodes) }
 
 // Remaining returns the work units left before exhaustion, or -1 when
 // the budget has no node cap.
@@ -85,9 +84,5 @@ func (b *Budget) Remaining() int64 {
 	if b.maxNodes <= 0 {
 		return -1
 	}
-	left := b.maxNodes - b.nodes.Load()
-	if left < 0 {
-		return 0
-	}
-	return left
+	return max(b.maxNodes-b.nodes, 0)
 }

@@ -16,7 +16,6 @@ package engine
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/rules"
@@ -75,14 +74,12 @@ type Options struct {
 	// Variant selects a miner-specific engine implementation (farmer:
 	// "bitset", "prefix", "naive"; empty = the miner's default).
 	Variant string
-	// Progress, when non-nil, receives periodic ProgressSnapshots from
-	// the enumeration (see ProgressFunc). Honored by the miners built on
-	// the shared row-enumeration kernel (topk, carpenter, and farmer's
-	// bitset engine); other miners ignore it.
+	// Progress, when non-nil, receives a ProgressSnapshot every
+	// DefaultProgressEvery nodes and one at the end (see ProgressFunc).
+	// Honored by the miners built on the shared row-enumeration kernel
+	// (topk, carpenter, and farmer's bitset engine) and by hybrid; other
+	// miners ignore it.
 	Progress ProgressFunc
-	// ProgressEvery is the node stride between snapshots
-	// (0 = DefaultProgressEvery).
-	ProgressEvery int
 	// MaxPartitionRows caps hybrid-miner partitions (0 = no cap).
 	MaxPartitionRows int
 
@@ -132,32 +129,26 @@ type Miner interface {
 	Mine(ctx context.Context, d *dataset.Dataset, opts Options) (*Result, Stats, error)
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Miner{}
-)
+// registry maps miner names to miners. It is written only by Register
+// from package init, which runs on one goroutine before main, so the
+// concurrent readers that come later need no lock.
+var registry = map[string]Miner{}
 
-// Register adds a miner to the registry under m.Name(). Miners register
-// themselves from package init; a later registration under the same
-// name wins.
+// Register adds a miner to the registry under m.Name(). Call it only
+// from package init, as every miner does; a later registration under
+// the same name wins.
 func Register(m Miner) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
 	registry[m.Name()] = m
 }
 
 // Lookup returns the registered miner with the given name.
 func Lookup(name string) (Miner, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	m, ok := registry[name]
 	return m, ok
 }
 
 // Miners returns the registered miner names, sorted.
 func Miners() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	names := make([]string, 0, len(registry))
 	for name := range registry {
 		names = append(names, name)

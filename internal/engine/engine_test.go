@@ -467,10 +467,8 @@ func TestRegistry(t *testing.T) {
 	Register(fakeMiner{name: "zz-test-a"})
 	Register(fakeMiner{name: "zz-test-b"})
 	defer func() {
-		registryMu.Lock()
 		delete(registry, "zz-test-a")
 		delete(registry, "zz-test-b")
-		registryMu.Unlock()
 	}()
 	if _, ok := Lookup("zz-test-a"); !ok {
 		t.Fatal("registered miner not found")

@@ -36,15 +36,14 @@ func (e *Enumerator) posSplit(cand []int) (pos, neg []int) {
 // Every decision is meant to be the same, so outputs and Stats must be
 // deep-equal.
 func (e *Enumerator) referenceVisit(t task) error {
-	e.stats.Nodes++
 	if err := e.budget.Charge(1); err != nil {
 		return err
 	}
 	if t.depth > e.stats.MaxDepth {
 		e.stats.MaxDepth = t.depth
 	}
-	if e.prog != nil {
-		e.prog.tick(e.stats.MaxDepth)
+	if e.Progress != nil && e.budget.Nodes()%DefaultProgressEvery == 0 {
+		e.emitProgress()
 	}
 	lv := e.scratch.level(t.depth)
 
@@ -116,9 +115,6 @@ func (e *Enumerator) referenceVisit(t task) error {
 
 	if xp > 0 {
 		e.stats.Groups++
-		if e.prog != nil {
-			e.prog.onGroup()
-		}
 		e.Visitor.OnGroup(t.items, closed, xp, xn, posIdx)
 	}
 

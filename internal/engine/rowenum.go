@@ -96,17 +96,16 @@ type Enumerator struct {
 	// Stats.Aborted reports the cutoff. Results seen so far remain valid
 	// but possibly incomplete.
 	MaxNodes int
-	// Progress, when non-nil, receives ProgressSnapshots every
-	// ProgressEvery nodes (0 = DefaultProgressEvery) plus one final
-	// snapshot per Run. The sampling adds one branch, one atomic add and
-	// zero heap allocations per node; see progress.go.
+	// Progress, when non-nil, receives a ProgressSnapshot every
+	// DefaultProgressEvery nodes plus one final snapshot per Run. The
+	// sampling adds one branch per node and no heap allocation; see
+	// progress.go.
 	Progress ProgressFunc
-	// ProgressEvery is the node stride between snapshots.
-	ProgressEvery int
 
+	// budget counts the run's nodes (Stats.Nodes is read from it) and
+	// stops the run on a cancel or at MaxNodes.
 	budget *Budget
 	stats  Stats
-	prog   *progressSampler
 	// stopAtPrune is the visitor's MonotoneChildren answer for this run.
 	stopAtPrune bool
 
@@ -142,7 +141,7 @@ var kernel = (*Enumerator).visitNode
 // channel: cancellation and deadline expiry return ctx.Err() within one
 // node; a MaxNodes abort is reported via Stats.Aborted with a nil error
 // (partial results in the visitor remain valid). Run asks the visitor
-// once for the optional MonotoneChildren and FloorReporter methods.
+// once for the optional MonotoneChildren method.
 func (e *Enumerator) Run(ctx context.Context, items []int) (Stats, error) {
 	e.stats = Stats{}
 	if len(items) == 0 || e.NumRows == 0 {
@@ -154,33 +153,21 @@ func (e *Enumerator) Run(ctx context.Context, items []int) (Stats, error) {
 	e.budget.Reset(ctx, e.MaxNodes)
 	mc, _ := e.Visitor.(MonotoneChildren)
 	e.stopAtPrune = mc != nil && mc.MonotoneChildren()
-	if e.Progress != nil {
-		if e.prog == nil {
-			e.prog = &progressSampler{}
-		}
-		every := int64(e.ProgressEvery)
-		if every <= 0 {
-			every = DefaultProgressEvery
-		}
-		fr, _ := e.Visitor.(FloorReporter)
-		e.prog.arm(e.Progress, every, e.budget, fr)
-	} else {
-		e.prog = nil
-	}
 	e.ensureScratch()
 	rootX := e.scratch.level(0).xSet()
 	rootX.Clear()
 	root := task{x: rootX, items: items, cand: e.scratch.rootCand, numPos: e.NumPos}
 
 	err := kernel(e, root)
+	e.stats.Nodes = e.budget.Nodes()
 	if errors.Is(err, ErrNodeBudget) {
 		e.stats.Aborted = true
 		err = nil
 	}
-	if e.prog != nil && err == nil {
+	if e.Progress != nil && err == nil {
 		// Final snapshot: short runs that never crossed a sampling stride
 		// still report their totals once.
-		e.prog.emit(e.stats.MaxDepth)
+		e.emitProgress()
 	}
 	return e.stats, err
 }
@@ -224,15 +211,14 @@ func buildRowItems(numRows int, itemRows []*bitset.Set) []*bitset.Set {
 //
 //vet:allocfree
 func (e *Enumerator) visitNode(t task) error {
-	e.stats.Nodes++
 	if err := e.budget.Charge(1); err != nil {
 		return err
 	}
 	if t.depth > e.stats.MaxDepth {
 		e.stats.MaxDepth = t.depth
 	}
-	if e.prog != nil {
-		e.prog.tick(e.stats.MaxDepth)
+	if e.Progress != nil && e.budget.Nodes()%DefaultProgressEvery == 0 {
+		e.emitProgress()
 	}
 	lv := e.scratch.level(t.depth)
 	xp, xn := t.xp, t.xn
@@ -326,9 +312,6 @@ func (e *Enumerator) visitNode(t task) error {
 	// posIdx alias the arena; the visitor copies what it keeps.
 	if xp > 0 {
 		e.stats.Groups++
-		if e.prog != nil {
-			e.prog.onGroup()
-		}
 		e.Visitor.OnGroup(t.items, closed, xp, xn, posIdx)
 	}
 

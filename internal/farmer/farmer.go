@@ -71,10 +71,9 @@ type Config struct {
 	// bound baseline runs that would not otherwise terminate.
 	MaxNodes int
 	// Progress, when non-nil, receives engine.ProgressSnapshots from the
-	// bitset engine every ProgressEvery nodes (the table engines do not
-	// report progress).
-	Progress      engine.ProgressFunc
-	ProgressEvery int
+	// bitset engine every engine.DefaultProgressEvery nodes (the table
+	// engines do not report progress).
+	Progress engine.ProgressFunc
 }
 
 // Result holds the discovered rule groups.
@@ -301,13 +300,12 @@ func mineBitset(ctx context.Context, d *dataset.Dataset, cls dataset.Label, cfg 
 		totalPos: numPos, totalNeg: d.NumRows() - numPos, cls: cls,
 	}
 	eng := &engine.Enumerator{
-		NumRows:       d.NumRows(),
-		NumPos:        numPos,
-		ItemRows:      itemRows,
-		Visitor:       v,
-		MaxNodes:      cfg.MaxNodes,
-		Progress:      cfg.Progress,
-		ProgressEvery: cfg.ProgressEvery,
+		NumRows:  d.NumRows(),
+		NumPos:   numPos,
+		ItemRows: itemRows,
+		Visitor:  v,
+		MaxNodes: cfg.MaxNodes,
+		Progress: cfg.Progress,
 	}
 	stats, err := eng.Run(ctx, freqItems)
 	if err != nil {

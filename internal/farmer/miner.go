@@ -17,12 +17,11 @@ func (miner) Name() string { return "farmer" }
 
 func (miner) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Result, engine.Stats, error) {
 	cfg := Config{
-		Minsup:        opts.Minsup,
-		Minconf:       opts.Minconf,
-		MinChi:        opts.MinChi,
-		MaxNodes:      opts.MaxNodes,
-		Progress:      opts.Progress,
-		ProgressEvery: opts.ProgressEvery,
+		Minsup:   opts.Minsup,
+		Minconf:  opts.Minconf,
+		MinChi:   opts.MinChi,
+		MaxNodes: opts.MaxNodes,
+		Progress: opts.Progress,
 	}
 	switch opts.Variant {
 	case "", "bitset":

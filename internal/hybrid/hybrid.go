@@ -48,9 +48,9 @@ type Config struct {
 	MaxNodes int
 	// Progress, when non-nil, receives engine.ProgressSnapshots with
 	// node and group counts cumulative across partitions, every
-	// ProgressEvery nodes (0 = engine.DefaultProgressEvery).
-	Progress      engine.ProgressFunc
-	ProgressEvery int
+	// engine.DefaultProgressEvery nodes of a partition and at the end of
+	// each partition.
+	Progress engine.ProgressFunc
 }
 
 // Result mirrors core.Result.
@@ -92,7 +92,6 @@ func (s *runState) coreConfig() core.Config {
 			}
 			prog(p)
 		}
-		c.ProgressEvery = s.cfg.ProgressEvery
 	}
 	return c
 }

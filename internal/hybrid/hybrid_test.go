@@ -201,7 +201,7 @@ func TestMaxNodesCumulative(t *testing.T) {
 
 	// Cumulative progress snapshots must be monotone across partitions.
 	var nodesSeen []int64
-	_, err = Mine(d, 0, Config{K: 2, Minsup: 2, ProgressEvery: 1,
+	_, err = Mine(d, 0, Config{K: 2, Minsup: 2,
 		Progress: func(p engine.ProgressSnapshot) { nodesSeen = append(nodesSeen, p.Nodes) }})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ func (miner) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) 
 		MaxPartitionRows: opts.MaxPartitionRows,
 		MaxNodes:         opts.MaxNodes,
 		Progress:         opts.Progress,
-		ProgressEvery:    opts.ProgressEvery,
 	}
 	res, err := MineContext(ctx, d, opts.Class, cfg)
 	if err != nil {

@@ -497,7 +497,7 @@ func TestSaveModelConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				if err := m.saveModel(path, model); err != nil {
+				if err := model.SaveFile(path); err != nil {
 					t.Error(err)
 					return
 				}

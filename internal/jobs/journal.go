@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/atomicfile"
-	"repro/internal/rcbt"
 )
 
 // persist journals one record as DataDir/jobs/<id>.json via the
@@ -24,18 +22,6 @@ func (m *Manager) persist(rec *Record) error {
 		return err
 	}
 	return atomicfile.Write(filepath.Join(m.jobsDir, rec.ID+".json"), data)
-}
-
-// saveModel writes a model envelope through atomicfile.Write: a crashed
-// train job never leaves a half-written model a restarted server would
-// try to load, and two train jobs saving one model name at once cannot
-// truncate or steal each other's staging file.
-func (m *Manager) saveModel(path string, model *rcbt.Model) error {
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
-		return err
-	}
-	return atomicfile.Write(path, buf.Bytes())
 }
 
 // recoverJournal creates the data directories, deletes the staging

@@ -427,8 +427,9 @@ func (m *Manager) run(j *job) {
 		err        error
 		progressFn engine.ProgressFunc
 	)
-	// The hook runs on mining goroutines; the engine's sampler already
-	// serializes calls, and the manager lock protects the record. The
+	// The hook runs on mining goroutines; a mine job's search calls it
+	// from one goroutine, a train's class searches through rcbt's one
+	// mutex, and the manager lock protects the record. The
 	// journal flush is throttled so progress costs one small file write
 	// every few hundred milliseconds at most.
 	progressFn = func(s engine.ProgressSnapshot) {
@@ -637,7 +638,7 @@ func (m *Manager) runTrain(ctx context.Context, id string, spec Spec, data Data,
 		},
 	}
 	path := filepath.Join(m.modelsDir, name+".json")
-	if err := m.saveModel(path, model); err != nil {
+	if err := model.SaveFile(path); err != nil {
 		return nil, "", "", err
 	}
 	m.mu.Lock()

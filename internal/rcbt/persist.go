@@ -1,10 +1,13 @@
 package rcbt
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
+	"repro/internal/atomicfile"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
 	"repro/internal/rules"
@@ -189,6 +192,19 @@ func (m *Model) Save(w io.Writer) error {
 	return writeEnvelope(w, env)
 }
 
+// SaveFile writes the full model envelope to path through
+// atomicfile.Write: the bytes are staged next to path, fsynced and
+// renamed into place, so a crash mid-save leaves the old file or the
+// new one, never a truncated model, and two writers of one path cannot
+// steal each other's staging file.
+func (m *Model) SaveFile(path string) error {
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		return err
+	}
+	return atomicfile.Write(path, buf.Bytes())
+}
+
 func writeEnvelope(w io.Writer, env envelope) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -262,6 +278,15 @@ func LoadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("rcbt: load: item universe exceeds the %d-item cap", dataset.MaxItems)
 	}
 	return m, nil
+}
+
+// LoadModelFile reads the model envelope at path (see LoadModel).
+func LoadModelFile(path string) (*Model, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return LoadModel(bytes.NewReader(b))
 }
 
 // antecedentUniverse returns 1 + the largest item a rule antecedent

@@ -51,12 +51,12 @@ type Config struct {
 	// expires first aborts training with context.DeadlineExceeded.
 	Timeout time.Duration
 	// Progress, when non-nil, receives engine.ProgressSnapshots from the
-	// per-class mining runs (the expensive half of training). Snapshots
-	// restart from zero for each mined class; with Workers > 1 the
-	// snapshots of classes mined at once interleave. Calls are
+	// per-class mining runs (the expensive half of training), every
+	// engine.DefaultProgressEvery nodes and at the end of each class.
+	// Snapshots restart from zero for each mined class; with Workers > 1
+	// the snapshots of classes mined at once interleave. Calls are
 	// serialized, never concurrent.
-	Progress      engine.ProgressFunc
-	ProgressEvery int
+	Progress engine.ProgressFunc
 }
 
 // DefaultConfig mirrors the paper's RCBT setup (k=10, nl=20,
@@ -310,7 +310,6 @@ func mineClasses(ctx context.Context, d *dataset.Dataset, cfg Config, classCount
 				mc := core.DefaultConfig(engine.RelativeMinsup(cfg.MinsupFrac, classCount[cls]), cfg.K)
 				mc.MaxNodes = cfg.MaxNodes
 				mc.Progress = progress
-				mc.ProgressEvery = cfg.ProgressEvery
 				res, err := core.MineContext(mctx, d, dataset.Label(cls), mc)
 				if err != nil {
 					errOnce.Do(func() {

@@ -401,7 +401,7 @@ func denseDataset(rows, items int) *dataset.Dataset {
 }
 
 // TestTrainContextCancelWhileClassesMine cancels once both classes have
-// entered their first node: every class run must stop at its next node
+// sent their first snapshot: every class run must stop at its next node
 // entry and TrainContext must return ctx.Err() promptly.
 func TestTrainContextCancelWhileClassesMine(t *testing.T) {
 	d := denseDataset(100, 200)
@@ -412,10 +412,10 @@ func TestTrainContextCancelWhileClassesMine(t *testing.T) {
 	defer cancel()
 	var started int
 	var cancelledAt time.Time
-	cfg := Config{K: 20, NL: 3, MinsupFrac: 0.1, Workers: 2, ProgressEvery: 1,
+	cfg := Config{K: 20, NL: 3, MinsupFrac: 0.1, Workers: 2,
 		Progress: func(p engine.ProgressSnapshot) {
-			// Each class run's first node emits the snapshot Nodes == 1.
-			if p.Nodes == 1 {
+			// Each class run's first snapshot comes at its first stride.
+			if p.Nodes == engine.DefaultProgressEvery {
 				if started++; started == 2 {
 					cancelledAt = time.Now()
 					cancel()
@@ -437,12 +437,13 @@ func TestTrainContextCancelWhileClassesMine(t *testing.T) {
 	}
 }
 
-// TestTrainContextProgressNeverConcurrent mines both classes at once
-// with a snapshot at every node and counts hook calls in flight: the
-// count must never exceed one (run it under -race).
+// TestTrainContextProgressNeverConcurrent mines both classes at once,
+// each across many snapshot strides, and counts hook calls in flight:
+// the count must never exceed one (run it under -race).
 func TestTrainContextProgressNeverConcurrent(t *testing.T) {
+	const maxNodes = 100_000
 	var inFlight, overlaps, calls atomic.Int32
-	cfg := Config{Workers: 2, ProgressEvery: 1,
+	cfg := Config{K: 20, NL: 3, MinsupFrac: 0.1, Workers: 2, MaxNodes: maxNodes,
 		Progress: func(engine.ProgressSnapshot) {
 			if inFlight.Add(1) > 1 {
 				overlaps.Add(1)
@@ -451,11 +452,11 @@ func TestTrainContextProgressNeverConcurrent(t *testing.T) {
 			runtime.Gosched() // widen the window for an overlapping call
 			inFlight.Add(-1)
 		}}
-	if _, err := TrainContext(context.Background(), pcProfile(t), cfg); err != nil {
+	if _, err := TrainContext(context.Background(), denseDataset(100, 200), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if calls.Load() == 0 {
-		t.Fatal("progress hook never ran")
+	if want := int32(2 * (maxNodes/engine.DefaultProgressEvery + 1)); calls.Load() != want {
+		t.Fatalf("progress hook ran %d times, want %d: every stride of both budget-capped classes plus their final snapshots", calls.Load(), want)
 	}
 	if n := overlaps.Load(); n > 0 {
 		t.Fatalf("%d of %d progress calls overlapped another call", n, calls.Load())

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -264,7 +263,7 @@ func (s *Server) reloadJobModels() {
 		if rec.State != jobs.StateSucceeded || rec.ModelPath == "" {
 			continue
 		}
-		m, err := loadModelFile(rec.ModelPath)
+		m, err := rcbt.LoadModelFile(rec.ModelPath)
 		if err == nil {
 			err = s.RegisterModel(rec.ModelName, m)
 		}
@@ -272,15 +271,6 @@ func (s *Server) reloadJobModels() {
 			s.logger.Error("reload job model", "job", rec.ID, "path", rec.ModelPath, "err", err)
 		}
 	}
-}
-
-func loadModelFile(path string) (*rcbt.Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() // vetsuite:allow uncheckederr -- read-only file, nothing buffered to lose
-	return rcbt.LoadModel(f)
 }
 
 // ModelNames returns the serving names in sorted order.

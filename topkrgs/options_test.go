@@ -25,7 +25,6 @@ func TestMineOptionSentinels(t *testing.T) {
 		"negative class":    {d, topkrgs.MineOptions{Class: -1}, topkrgs.ErrBadClass},
 		"negative maxnodes": {d, topkrgs.MineOptions{MaxNodes: -1}, topkrgs.ErrBadOption},
 		"negative timeout":  {d, topkrgs.MineOptions{Timeout: -time.Second}, topkrgs.ErrBadOption},
-		"negative stride":   {d, topkrgs.MineOptions{ProgressEvery: -1}, topkrgs.ErrBadOption},
 	} {
 		if _, err := topkrgs.Mine(ctx, tc.d, tc.opts); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
@@ -54,7 +53,7 @@ func TestMineProgress(t *testing.T) {
 	d, _ := dataset.RunningExample()
 	var snaps []topkrgs.ProgressSnapshot
 	res, err := topkrgs.Mine(context.Background(), d, topkrgs.MineOptions{
-		Minsup: 2, K: 2, ProgressEvery: 1,
+		Minsup: 2, K: 2,
 		Progress: func(p topkrgs.ProgressSnapshot) { snaps = append(snaps, p) },
 	})
 	if err != nil {

@@ -98,7 +98,7 @@ var (
 	// ErrBadMinsup is returned when MineOptions.Minsup is negative.
 	ErrBadMinsup = errors.New("topkrgs: Minsup must be >= 1")
 	// ErrBadOption is returned for out-of-range tuning fields (negative
-	// MaxNodes, Timeout or ProgressEvery).
+	// MaxNodes or Timeout).
 	ErrBadOption = errors.New("topkrgs: invalid option")
 )
 
@@ -134,15 +134,12 @@ type MineOptions struct {
 	// Timeout bounds the mine (0 = no limit); it composes with any
 	// deadline already on the caller's context.
 	Timeout time.Duration
-	// Progress, when non-nil, receives periodic snapshots of the
-	// enumeration (node and group counts, current dynamic confidence
-	// floor, budget remaining). Calls are serialized and come from the
-	// mining goroutine; a slow hook stalls the search. The hook adds no
-	// steady-state allocations to the kernel.
+	// Progress, when non-nil, receives a snapshot of the enumeration
+	// (node and group counts, current dynamic confidence floor, budget
+	// remaining) every 4096 nodes and once at the end. Calls come from
+	// the mining goroutine, one at a time; a slow hook stalls the
+	// search. The hook adds no steady-state allocations to the kernel.
 	Progress ProgressFunc
-	// ProgressEvery is the node stride between snapshots (0 = the
-	// engine default of 4096).
-	ProgressEvery int
 }
 
 // Validate reports the first invalid field as an error wrapping one of
@@ -160,9 +157,6 @@ func (o MineOptions) Validate() error {
 	}
 	if o.Timeout < 0 {
 		return fmt.Errorf("%w: Timeout %v", ErrBadOption, o.Timeout)
-	}
-	if o.ProgressEvery < 0 {
-		return fmt.Errorf("%w: ProgressEvery %d", ErrBadOption, o.ProgressEvery)
 	}
 	return nil
 }
@@ -187,11 +181,7 @@ func Mine(ctx context.Context, d *Dataset, opts MineOptions) (*MiningResult, err
 		opts.K = 10
 	}
 	if opts.Minsup == 0 {
-		n := d.ClassCount(opts.Class)
-		opts.Minsup = (n*7 + 9) / 10 // ceil(0.7 n)
-		if opts.Minsup < 1 {
-			opts.Minsup = 1
-		}
+		opts.Minsup = engine.RelativeMinsup(0.7, d.ClassCount(opts.Class))
 	}
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -201,7 +191,6 @@ func Mine(ctx context.Context, d *Dataset, opts MineOptions) (*MiningResult, err
 	cfg := core.DefaultConfig(opts.Minsup, opts.K)
 	cfg.MaxNodes = opts.MaxNodes
 	cfg.Progress = opts.Progress
-	cfg.ProgressEvery = opts.ProgressEvery
 	return core.MineContext(ctx, d, opts.Class, cfg)
 }
 
